@@ -1,7 +1,7 @@
 # Tier-1 gate: everything CI (and every PR) must keep green.
-.PHONY: ci vet gofmt build staticcheck deprecated test golden cover bench bench-diff bench-check bench-server serve-smoke shard-smoke
+.PHONY: ci vet gofmt build staticcheck deprecated facade test golden golden-scale1 cover bench bench-diff bench-check bench-server serve-smoke shard-smoke
 
-ci: vet gofmt build staticcheck deprecated test cover bench-check serve-smoke shard-smoke
+ci: vet gofmt build staticcheck deprecated facade test cover bench-check serve-smoke shard-smoke
 
 vet:
 	go vet ./...
@@ -37,6 +37,19 @@ deprecated:
 		exit 1 ; \
 	fi
 
+# facade ratchets the root package's exported surface: it fails when
+# `go doc -short .` prints more lines than FACADE_MAX. A change that
+# shrinks the facade lowers the number; raising it needs a reason in
+# CHANGES.md.
+FACADE_MAX = 143
+facade:
+	@n=$$(go doc -short . | wc -l) ; \
+	echo "facade: $$n lines of go doc -short (ratchet $(FACADE_MAX))" ; \
+	if [ "$$n" -gt $(FACADE_MAX) ] ; then \
+		echo "the facade grew past $(FACADE_MAX) lines; delete a name for each one added" ; \
+		exit 1 ; \
+	fi
+
 # The race leg skips the golden sweep (build-tag gated: byte-identity
 # gains nothing from the race detector and costs ~10x); the golden leg
 # reruns it without -race.
@@ -47,6 +60,27 @@ test:
 golden:
 	go test -count=1 -run TestGoldenExperimentOutputs .
 	go test -count=1 -run '^Fuzz' ./internal/cache ./internal/texture
+
+# golden-scale1 reruns every experiment at the paper's own resolution
+# and diffs the output against results_scale1.txt, both with their
+# timing lines ("--- <id> done in ..." and "=== N experiments in ...")
+# stripped. Scale 1 is the only resolution whose traces are long
+# enough for the stack-distance profiler to compact its Fenwick tree,
+# so every replay-kernel change must pass it. It takes about 100s wall
+# and 180s CPU on a 2-vCPU host, so it is not a ci leg.
+golden-scale1:
+	@set -e; \
+	tmp=$$(mktemp -d) ; \
+	trap 'rm -rf "$$tmp"' EXIT ; \
+	go build -o "$$tmp/texsim" ./cmd/texsim ; \
+	"$$tmp/texsim" -exp all -scale 1 > "$$tmp/out.txt" 2> "$$tmp/err.txt" || { \
+		cat "$$tmp/err.txt" ; exit 1 ; } ; \
+	strip='/^--- .* done in .* ---$$/d; /^=== [0-9]+ experiments in .* ===$$/d' ; \
+	sed -E "$$strip" results_scale1.txt > "$$tmp/want.txt" ; \
+	sed -E "$$strip" "$$tmp/out.txt" > "$$tmp/got.txt" ; \
+	diff -u "$$tmp/want.txt" "$$tmp/got.txt" || { \
+		echo "scale-1 output differs from results_scale1.txt" ; exit 1 ; } ; \
+	echo "golden-scale1 ok"
 
 # cover enforces ratcheted coverage floors on the simulator-core
 # packages: raise a floor when coverage improves, never lower it.

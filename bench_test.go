@@ -97,8 +97,8 @@ func BenchmarkSerialSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSweep replays the Goblet trace through all
-// configurations in a single concurrent pass; compare with
+// BenchmarkEngineSweep replays the Goblet trace through one classifying
+// cache per configuration in a single concurrent pass; compare with
 // BenchmarkSerialSweep on a multi-core machine for the fan-out speedup.
 func BenchmarkEngineSweep(b *testing.B) {
 	tr := gobletTrace(b)
@@ -106,7 +106,7 @@ func BenchmarkEngineSweep(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.SimulateConfigsConcurrent(ctx, cfgs); err != nil {
+		if _, err := concurrentStats(ctx, tr, cfgs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func BenchmarkGroupedSweep(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.SimulateConfigsGrouped(ctx, cfgs); err != nil {
+		if _, err := texcache.SimulateConfigsGroupedStream(ctx, tr, cfgs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -75,6 +76,11 @@ func coordinate(ctx context.Context, f flags, req texcache.ExperimentRequest, tr
 	if err != nil {
 		return fail(err)
 	}
+	// Workers run under a child context so a failed merge can stop the
+	// ones still running: once the merge stops reading, a worker with
+	// more rows to write blocks on its full pipe and never exits.
+	wctx, stopWorkers := context.WithCancel(ctx)
+	defer stopWorkers()
 	cmds := make([]*exec.Cmd, n)
 	streams := make([]io.Reader, n)
 	for i := 0; i < n; i++ {
@@ -94,7 +100,7 @@ func coordinate(ctx context.Context, f flags, req texcache.ExperimentRequest, tr
 				args = append(args, "-frontier", f.frontier)
 			}
 		}
-		cmd := exec.CommandContext(ctx, exe, args...)
+		cmd := exec.CommandContext(wctx, exe, args...)
 		cmd.Stderr = os.Stderr
 		pipe, err := cmd.StdoutPipe()
 		if err != nil {
@@ -120,14 +126,24 @@ func coordinate(ctx context.Context, f flags, req texcache.ExperimentRequest, tr
 	bw := bufio.NewWriter(os.Stdout)
 	col := texcache.NewGridCollector()
 	mergeErr := texcache.MergeGridStreams(io.MultiWriter(bw, col), streams, traces)
+	if mergeErr != nil {
+		stopWorkers()
+	}
 
 	var waitErr error
 	for i, cmd := range cmds {
-		if err := cmd.Wait(); err != nil && waitErr == nil {
+		err := cmd.Wait()
+		if mergeErr != nil && stoppedByCoordinator(err) {
+			continue
+		}
+		if err != nil && waitErr == nil {
 			waitErr = fmt.Errorf("worker %d/%d: %w", i, n, err)
 		}
 	}
 	switch {
+	case ctx.Err() != nil:
+		bw.Flush()
+		return fail(ctx.Err())
 	case waitErr != nil:
 		bw.Flush()
 		return fail(waitErr)
@@ -142,4 +158,13 @@ func coordinate(ctx context.Context, f flags, req texcache.ExperimentRequest, tr
 		return fail(err)
 	}
 	return 0
+}
+
+// stoppedByCoordinator reports whether a worker's Wait error is the
+// coordinator's own stop rather than a failure of the worker: a death by
+// signal, or the cancellation exec reports when the stop reached a
+// worker that had already exited.
+func stoppedByCoordinator(err error) bool {
+	var ee *exec.ExitError
+	return errors.Is(err, context.Canceled) || errors.As(err, &ee) && ee.ExitCode() == -1
 }

@@ -212,7 +212,7 @@ func info(args []string) error {
 		}
 	}
 	sd := cache.NewStackDist(32)
-	tr.Replay(sd)
+	cache.ReplayStream(tr, sd)
 	fmt.Printf("accesses:       %d\n", tr.Len())
 	fmt.Printf("address range:  [%d, %d] (%.2f MB span)\n", lo, hi, float64(hi-lo)/(1<<20))
 	fmt.Printf("distinct 32B lines: %d (%.2f MB touched)\n",
@@ -246,7 +246,7 @@ func sim(args []string) error {
 		return err
 	}
 	cc := cache.NewClassifying(cfg)
-	tr.Replay(cc.Sink())
+	cache.ReplayStream(tr, cc.Sink())
 	s := cc.Stats()
 	fmt.Printf("%v: %d accesses, %d misses (%.2f%%)\n", cfg, s.Accesses, s.Misses, 100*s.MissRate())
 	fmt.Printf("  cold %.2f%%  capacity %.2f%%  conflict %.2f%%\n",

@@ -26,7 +26,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	trace.Replay(c.Sink())
+	texcache.ReplayStream(trace, c.Sink())
 
 	s := c.Stats()
 	model := texcache.DefaultPerfModel()

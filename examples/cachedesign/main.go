@@ -64,7 +64,7 @@ func main() {
 					if err != nil {
 						log.Fatal(err)
 					}
-					traces[key{name, blockFor[line]}].Replay(c.Sink())
+					texcache.ReplayStream(traces[key{name, blockFor[line]}], c.Sink())
 					mbps := model.BandwidthBytesPerSecond(c.Stats().MissRate(), line) / 1e6
 					d.perScene[name] = mbps
 					if mbps > d.worstMBps {

@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		trace.Replay(c.Sink())
+		texcache.ReplayStream(trace, c.Sink())
 		s := c.Stats()
 		fmt.Printf("%-10s %9.2f%% %12.0f %13.1fx %10d\n",
 			fmtSize(size), 100*s.MissRate(),

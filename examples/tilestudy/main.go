@@ -48,7 +48,7 @@ func main() {
 		r.DrawMesh(fullScreenQuad(), texcache.Identity(), cam)
 
 		sd := texcache.NewStackDist(128)
-		trace.Replay(sd)
+		texcache.ReplayStream(trace, sd)
 		label := "untiled"
 		if tile > 0 {
 			label = fmt.Sprintf("%dx%d", tile, tile)

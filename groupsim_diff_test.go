@@ -7,11 +7,11 @@ package texcache_test
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"texcache"
+	"texcache/internal/cache"
 )
 
 // mixedSweep extends the acceptance sweep with randomized configurations
@@ -55,7 +55,7 @@ func TestGroupedSweepMatchesSerialOnScenes(t *testing.T) {
 		cfgs := mixedSweep(int64(len(name)), 24)
 
 		want := tr.SimulateConfigs(cfgs)
-		got, err := tr.SimulateConfigsGrouped(ctx, cfgs)
+		got, err := texcache.SimulateConfigsGroupedStream(ctx, tr, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestGroupedSweepMatchesSerialOnScenes(t *testing.T) {
 			}
 		}
 
-		rates, err := tr.MissRatesGrouped(ctx, cfgs)
+		rates, err := cache.MissRatesGroupedStream(ctx, tr, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,38 +74,6 @@ func TestGroupedSweepMatchesSerialOnScenes(t *testing.T) {
 				t.Errorf("%s %+v: grouped rate %v != serial %v", name, cfgs[i], rates[i], want[i].MissRate())
 			}
 		}
-	}
-}
-
-// TestSweepModesProduceIdenticalOutput runs a sweep-heavy experiment
-// under both sweep modes and requires byte-identical report text, pinning
-// the engine/exp threading: SweepGrouped (the default) may change only
-// wall-clock, never output.
-func TestSweepModesProduceIdenticalOutput(t *testing.T) {
-	ids := []string{"fig5.7", "replacement"}
-	outputs := map[texcache.SweepMode]string{}
-	for _, mode := range []texcache.SweepMode{texcache.SweepGrouped, texcache.SweepPerConfig} {
-		req := texcache.ExperimentRequest{
-			Experiments: ids, Scale: 8, Scenes: []string{"goblet"},
-		}
-		results, err := texcache.Run(context.Background(), req,
-			texcache.WithSweepMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Results stream in completion order; reassemble request order so
-		// the comparison sees only the experiment output itself.
-		byIndex := make([]string, len(ids))
-		for r := range results {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			byIndex[r.Index] = r.ID + "\n" + r.Output
-		}
-		outputs[mode] = strings.Join(byIndex, "")
-	}
-	if outputs[texcache.SweepGrouped] != outputs[texcache.SweepPerConfig] {
-		t.Error("grouped and per-config sweep modes produced different experiment output")
 	}
 }
 
@@ -134,7 +102,7 @@ func TestGroupedSweepSpeedup(t *testing.T) {
 	// Best-of-3 on each side rejects scheduler noise; one warm-up pass
 	// per side pages the trace in before anything is timed.
 	tr.SimulateConfigs(cfgs)
-	if _, err := tr.SimulateConfigsGrouped(ctx, cfgs); err != nil {
+	if _, err := texcache.SimulateConfigsGroupedStream(ctx, tr, cfgs); err != nil {
 		t.Fatal(err)
 	}
 	best := func(run func()) time.Duration {
@@ -150,7 +118,7 @@ func TestGroupedSweepSpeedup(t *testing.T) {
 	}
 	serial := best(func() { tr.SimulateConfigs(cfgs) })
 	grouped := best(func() {
-		if _, err := tr.SimulateConfigsGrouped(ctx, cfgs); err != nil {
+		if _, err := texcache.SimulateConfigsGroupedStream(ctx, tr, cfgs); err != nil {
 			t.Fatal(err)
 		}
 	})

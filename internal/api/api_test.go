@@ -212,7 +212,7 @@ func TestResolvedDefaults(t *testing.T) {
 		t.Errorf("CacheConfigs = %+v", cfgs)
 	}
 	cfg := ExperimentRequest{Scale: 4, Scenes: []string{"town"}, Sweep: SweepPerConfig, RenderWorkers: 3}.ExpConfig()
-	if cfg.Scale != 4 || cfg.Sweep != exp.SweepPerConfig || cfg.RenderWorkers != 3 || len(cfg.Scenes) != 1 {
+	if cfg.Scale != 4 || cfg.RenderWorkers != 3 || len(cfg.Scenes) != 1 || cfg.Traces != nil {
 		t.Errorf("ExpConfig = %+v", cfg)
 	}
 }

@@ -100,7 +100,7 @@ func TestTimelineMatchesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cache.New(testCacheCfg())
-	tr.Replay(c.Sink())
+	cache.ReplayStream(tr, c.Sink())
 	st := c.Stats()
 	if tl.Accesses() != st.Accesses || tl.MissCount() != st.Misses {
 		t.Errorf("timeline %d/%d misses, plain replay %d/%d",

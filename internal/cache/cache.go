@@ -313,7 +313,7 @@ func (c *Cache) Flush() {
 }
 
 // Access presents one texel byte address to the cache and returns true on
-// a hit. Use Sink for the callback-style view that Trace.Replay expects.
+// a hit. Use Sink for the callback-style view that ReplayStream expects.
 func (c *Cache) Access(addr uint64) bool {
 	lineAddr := addr >> c.lineShift
 	c.stats.Accesses++
@@ -500,7 +500,7 @@ func (s cacheSink) Access(addr uint64) { s.c.Access(addr) }
 
 func (s cacheSink) AccessBatch(addrs []uint64) { s.c.AccessBatch(addrs) }
 
-// Sink returns a Sink view of the cache for use with Trace.Replay and the
+// Sink returns a Sink view of the cache for use with ReplayStream and the
 // fragment generator's access callback.
 func (c *Cache) Sink() Sink { return cacheSink{c} }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -356,5 +357,42 @@ func TestQuickHitAfterAccess(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestConfigErrorFromEveryConstructor(t *testing.T) {
+	bad := []Config{
+		{SizeBytes: 0, LineBytes: 32, Ways: 1},            // zero size
+		{SizeBytes: 3 << 10, LineBytes: 32, Ways: 1},      // non-power-of-two size
+		{SizeBytes: 1 << 10, LineBytes: 48, Ways: 1},      // non-power-of-two line
+		{SizeBytes: 1 << 10, LineBytes: 32, Ways: 64},     // ways > lines
+		{SizeBytes: 256, LineBytes: 512, Ways: 1},         // size < line
+		{SizeBytes: 1 << 10, LineBytes: 32, Ways: -1},     // negative ways
+		{SizeBytes: 1 << 10, LineBytes: 32, Policy: FIFO}, // FIFO needs sets
+	}
+	for _, cfg := range bad {
+		var ce *ConfigError
+		if err := cfg.Validate(); !errors.As(err, &ce) {
+			t.Errorf("Validate(%+v) = %v, want *ConfigError", cfg, err)
+			continue
+		}
+		if _, err := TryNew(cfg); !errors.As(err, &ce) {
+			t.Errorf("TryNew(%+v) = %v, want *ConfigError", cfg, err)
+		}
+		if _, err := TryNewClassifying(cfg); !errors.As(err, &ce) {
+			t.Errorf("TryNewClassifying(%+v) = %v, want *ConfigError", cfg, err)
+		}
+		if _, err := NewSectored(cfg, 32); !errors.As(err, &ce) {
+			t.Errorf("NewSectored(%+v) = %v, want *ConfigError", cfg, err)
+		}
+	}
+	// Sectored-specific rejections are ConfigErrors too.
+	good := Config{SizeBytes: 4 << 10, LineBytes: 128, Ways: 2}
+	var ce *ConfigError
+	if _, err := NewSectored(good, 3); !errors.As(err, &ce) {
+		t.Errorf("NewSectored bad sector = %v, want *ConfigError", err)
+	}
+	if _, err := NewSectored(Config{SizeBytes: 4 << 10, LineBytes: 128, Ways: 0}, 32); !errors.As(err, &ce) {
+		t.Errorf("NewSectored fully-assoc = %v, want *ConfigError", err)
 	}
 }

@@ -90,7 +90,7 @@ func FuzzSimulateConfigsGrouped(f *testing.F) {
 			}
 		}
 		want := tr.SimulateConfigs([]Config{cfg})
-		got, err := tr.SimulateConfigsGrouped(context.Background(), []Config{cfg})
+		got, err := SimulateConfigsGroupedStream(context.Background(), tr, []Config{cfg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"context"
 	"math/bits"
 
 	"texcache/internal/obs"
@@ -306,8 +305,8 @@ type sweepPlan struct {
 // using LRU replacement are always coverable (Validate guarantees
 // power-of-two set counts); FIFO and random replacement depend on more
 // than the recency order, so they fall back to a dedicated Cache —
-// classifying when classify is set, matching what SimulateConfigs and
-// MissRatesConcurrent would have built.
+// classifying when classify is set, as SimulateConfigs builds, and plain
+// otherwise, because a rate-only sweep never reads the 3C split.
 func planSweep(cfgs []Config, classify bool) (*sweepPlan, error) {
 	p := &sweepPlan{
 		groups: map[int]*groupSim{},
@@ -377,25 +376,4 @@ func (p *sweepPlan) stats() []Stats {
 		}
 	}
 	return out
-}
-
-// SimulateConfigsGrouped is the single-pass form of SimulateConfigs: it
-// groups every configuration sharing a line size and derives all of
-// their statistics — hits, misses and the cold/capacity/conflict split —
-// from one generalized stack simulation per line size, falling back to a
-// per-configuration classifying cache only for replacement policies the
-// stack algorithm cannot cover (FIFO, random). Results are bit-identical
-// to SimulateConfigs and index-aligned with cfgs; only the work changes,
-// from one trace walk per configuration to one per distinct line size.
-// Invalid configurations surface as *ConfigError before any replay.
-func (t *Trace) SimulateConfigsGrouped(ctx context.Context, cfgs []Config) ([]Stats, error) {
-	return SimulateConfigsGroupedStream(ctx, t, cfgs)
-}
-
-// MissRatesGrouped is the single-pass form of MissRatesConcurrent: the
-// miss rate of every configuration, index-aligned with cfgs, from one
-// grouped stack simulation per line size (plain non-classifying caches
-// on the fallback path, as MissRatesConcurrent builds).
-func (t *Trace) MissRatesGrouped(ctx context.Context, cfgs []Config) ([]float64, error) {
-	return MissRatesGroupedStream(ctx, t, cfgs)
 }

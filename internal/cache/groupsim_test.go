@@ -73,7 +73,7 @@ func TestSimulateConfigsGroupedMatchesSerial(t *testing.T) {
 	cfgs := randomConfigs(rng, 40)
 
 	want := tr.SimulateConfigs(cfgs)
-	got, err := tr.SimulateConfigsGrouped(context.Background(), cfgs)
+	got, err := SimulateConfigsGroupedStream(context.Background(), tr, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,23 +85,29 @@ func TestSimulateConfigsGroupedMatchesSerial(t *testing.T) {
 }
 
 // TestMissRatesGroupedMatchesConcurrent checks the rate-only form
-// against the per-configuration concurrent replay.
+// against one plain cache per configuration replayed concurrently, the
+// work the grouped walk replaces.
 func TestMissRatesGroupedMatchesConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := diffTrace(99, 30000)
 	cfgs := randomConfigs(rng, 24)
 
-	want, err := tr.MissRatesConcurrent(context.Background(), cfgs)
-	if err != nil {
+	caches := make([]*Cache, len(cfgs))
+	sinks := make([]Sink, len(cfgs))
+	for i, cfg := range cfgs {
+		caches[i] = New(cfg)
+		sinks[i] = caches[i].Sink()
+	}
+	if err := ReplayStreamConcurrent(context.Background(), tr, sinks...); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.MissRatesGrouped(context.Background(), cfgs)
+	got, err := MissRatesGroupedStream(context.Background(), tr, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		if got[i] != want[i] {
-			t.Errorf("%v: grouped rate %v != concurrent %v", cfg, got[i], want[i])
+		if want := caches[i].Stats().MissRate(); got[i] != want {
+			t.Errorf("%v: grouped rate %v != concurrent %v", cfg, got[i], want)
 		}
 	}
 }
@@ -114,12 +120,12 @@ func TestGroupedDegenerateSweeps(t *testing.T) {
 	ctx := context.Background()
 	tr := diffTrace(5, 5000)
 
-	if stats, err := tr.SimulateConfigsGrouped(ctx, nil); err != nil || len(stats) != 0 {
+	if stats, err := SimulateConfigsGroupedStream(ctx, tr, nil); err != nil || len(stats) != 0 {
 		t.Errorf("empty sweep = %v, %v", stats, err)
 	}
 
 	empty := NewTrace(0)
-	stats, err := empty.SimulateConfigsGrouped(ctx, []Config{{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}})
+	stats, err := SimulateConfigsGroupedStream(ctx, empty, []Config{{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}})
 	if err != nil || stats[0] != (Stats{}) {
 		t.Errorf("empty trace = %+v, %v", stats, err)
 	}
@@ -129,7 +135,7 @@ func TestGroupedDegenerateSweeps(t *testing.T) {
 		{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2},
 	}
 	want := tr.SimulateConfigs(cfgs)
-	got, err := tr.SimulateConfigsGrouped(ctx, cfgs)
+	got, err := SimulateConfigsGroupedStream(ctx, tr, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +154,11 @@ func TestGroupedDegenerateSweeps(t *testing.T) {
 func TestGroupedInvalidConfig(t *testing.T) {
 	tr := diffTrace(3, 100)
 	bad := []Config{{SizeBytes: 1 << 10, LineBytes: 48, Ways: 1}}
-	if _, err := tr.SimulateConfigsGrouped(context.Background(), bad); !isConfigError(err) {
-		t.Errorf("SimulateConfigsGrouped error = %v, want *ConfigError", err)
+	if _, err := SimulateConfigsGroupedStream(context.Background(), tr, bad); !isConfigError(err) {
+		t.Errorf("SimulateConfigsGroupedStream error = %v, want *ConfigError", err)
 	}
-	if _, err := tr.MissRatesGrouped(context.Background(), bad); !isConfigError(err) {
-		t.Errorf("MissRatesGrouped error = %v, want *ConfigError", err)
+	if _, err := MissRatesGroupedStream(context.Background(), tr, bad); !isConfigError(err) {
+		t.Errorf("MissRatesGroupedStream error = %v, want *ConfigError", err)
 	}
 }
 
@@ -167,7 +173,7 @@ func TestGroupedCancellation(t *testing.T) {
 	tr := diffTrace(11, 10000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.SimulateConfigsGrouped(ctx, []Config{{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}}); err == nil {
+	if _, err := SimulateConfigsGroupedStream(ctx, tr, []Config{{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}}); err == nil {
 		t.Error("cancelled grouped sweep returned nil error")
 	}
 }
@@ -187,7 +193,7 @@ func TestGroupsimObsCounters(t *testing.T) {
 		{SizeBytes: 4 << 10, LineBytes: 32, Ways: 2, Policy: FIFO},   // fallback
 		{SizeBytes: 4 << 10, LineBytes: 32, Ways: 2, Policy: Random}, // fallback
 	}
-	if _, err := tr.SimulateConfigsGrouped(context.Background(), cfgs); err != nil {
+	if _, err := SimulateConfigsGroupedStream(context.Background(), tr, cfgs); err != nil {
 		t.Fatal(err)
 	}
 	gs := reg.Sub("groupsim")

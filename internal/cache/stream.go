@@ -8,21 +8,29 @@ import (
 	"texcache/internal/obs"
 )
 
-// Stream-based replay: every replay entry point in this file consumes an
-// AddrStream instead of a materialized *Trace, so a compact delta-encoded
-// trace (internal/trace) replays block by block straight out of its
-// encoded form. *Trace arguments take the existing zero-copy paths — the
-// statistics any sink accumulates are bit-identical regardless of the
+// The replay surface. Every entry point consumes an AddrStream, so a
+// materialized *Trace and a compact delta-encoded trace (internal/trace)
+// replay through the same code, block by block through their cursors.
+// The statistics any sink accumulates are bit-identical whatever the
 // stream's representation, because every cursor yields the exact
-// recorded address order.
+// recorded address order. There are four entry points:
+//
+//   - ReplayStream feeds the stream to each sink in turn.
+//   - ReplayStreamConcurrent feeds it to every sink at once, one
+//     goroutine and one cursor per sink.
+//   - SimulateConfigsGroupedStream answers a configuration sweep with
+//     classified statistics from one grouped walk per line size.
+//   - MissRatesGroupedStream answers the same sweep with miss rates only.
+//
+// Trace.SimulateConfigs, one classifying cache per configuration in
+// turn, is the serial oracle the grouped sweeps are checked against.
 
-// ReplayStream feeds the whole stream to each sink in turn, as Replay
-// does for a materialized trace (to which it defers when s is a *Trace).
+// ReplayStream feeds the whole stream to each sink in turn.
+//
+// Metrics are flushed in bulk after the pass (replay.addresses,
+// replay.pass): the per-block loops carry no instrumentation, and with
+// no registry attached the whole accounting reduces to one nil check.
 func ReplayStream(s AddrStream, sinks ...Sink) {
-	if t, ok := s.(*Trace); ok {
-		t.Replay(sinks...)
-		return
-	}
 	reg := obs.Default()
 	var start time.Time
 	if reg != nil {
@@ -38,7 +46,7 @@ func ReplayStream(s AddrStream, sinks ...Sink) {
 
 // replayCursor drains one cursor into one sink. Batch-capable sinks
 // (caches, the profilers, the grouped simulator) consume whole blocks,
-// so their hot loops avoid the per-address interface call, as in Replay.
+// so their hot loops avoid the per-address interface call.
 func replayCursor(cur Cursor, sink Sink) {
 	if bs, ok := sink.(batchSink); ok {
 		for block := cur.Next(); block != nil; block = cur.Next() {
@@ -54,18 +62,17 @@ func replayCursor(cur Cursor, sink Sink) {
 }
 
 // ReplayStreamConcurrent feeds the whole stream to every sink
-// concurrently, one sink per goroutine. A materialized *Trace takes the
-// shared-chunk channel path of ReplayConcurrent; any other stream gives
-// each sink its own cursor, so sinks decode independently and no decoded
-// block ever crosses a goroutine boundary.
+// concurrently, one sink per goroutine. Each sink takes its own cursor,
+// so sinks decode independently and no decoded block ever crosses a
+// goroutine boundary; a *Trace cursor decodes nothing and hands every
+// sink zero-copy views of the shared address slice. Replay order within
+// each sink is the serial order, so any deterministic sink (Cache,
+// StackDist) accumulates exactly the statistics ReplayStream would.
 //
 // On cancellation the pass stops between blocks and the context's error
 // is returned; the sinks are then partially updated and should be
 // discarded.
 func ReplayStreamConcurrent(ctx context.Context, s AddrStream, sinks ...Sink) error {
-	if t, ok := s.(*Trace); ok {
-		return t.ReplayConcurrent(ctx, sinks...)
-	}
 	if len(sinks) == 0 {
 		return ctx.Err()
 	}
@@ -112,58 +119,15 @@ func ReplayStreamConcurrent(ctx context.Context, s AddrStream, sinks ...Sink) er
 	return nil
 }
 
-// SimulateConfigsStream is SimulateConfigsConcurrent over any address
-// stream: one fresh classifying cache per configuration, all fed in a
-// single concurrent pass, statistics index-aligned with cfgs.
-func SimulateConfigsStream(ctx context.Context, s AddrStream, cfgs []Config) ([]Stats, error) {
-	caches := make([]*Cache, len(cfgs))
-	sinks := make([]Sink, len(cfgs))
-	for i, cfg := range cfgs {
-		c, err := TryNewClassifying(cfg)
-		if err != nil {
-			return nil, err
-		}
-		caches[i] = c
-		sinks[i] = c.Sink()
-	}
-	if err := ReplayStreamConcurrent(ctx, s, sinks...); err != nil {
-		return nil, err
-	}
-	out := make([]Stats, len(cfgs))
-	for i, c := range caches {
-		out[i] = c.Stats()
-	}
-	return out, nil
-}
-
-// MissRatesStream is MissRatesConcurrent over any address stream: the
-// miss rate of one plain cache per configuration from a single
-// concurrent pass, index-aligned with cfgs.
-func MissRatesStream(ctx context.Context, s AddrStream, cfgs []Config) ([]float64, error) {
-	caches := make([]*Cache, len(cfgs))
-	sinks := make([]Sink, len(cfgs))
-	for i, cfg := range cfgs {
-		c, err := TryNew(cfg)
-		if err != nil {
-			return nil, err
-		}
-		caches[i] = c
-		sinks[i] = c.Sink()
-	}
-	if err := ReplayStreamConcurrent(ctx, s, sinks...); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(cfgs))
-	for i, c := range caches {
-		out[i] = c.Stats().MissRate()
-	}
-	return out, nil
-}
-
-// SimulateConfigsGroupedStream is SimulateConfigsGrouped over any
-// address stream: per-configuration statistics from one grouped stack
-// simulation per distinct line size, bit-identical to per-configuration
-// replay.
+// SimulateConfigsGroupedStream answers a whole configuration sweep in a
+// single concurrent pass over the stream. Every LRU configuration
+// sharing a line size takes its statistics (hits, misses and the
+// cold/capacity/conflict split) from one generalized stack simulation of
+// that line size; FIFO and random replacement, which the stack algorithm
+// cannot cover, fall back to a classifying cache each within the same
+// pass. Results are bit-identical to Trace.SimulateConfigs and
+// index-aligned with cfgs. Invalid configurations surface as
+// *ConfigError before any replay work.
 func SimulateConfigsGroupedStream(ctx context.Context, s AddrStream, cfgs []Config) ([]Stats, error) {
 	p, err := planSweep(cfgs, true)
 	if err != nil {
@@ -175,7 +139,11 @@ func SimulateConfigsGroupedStream(ctx context.Context, s AddrStream, cfgs []Conf
 	return p.stats(), nil
 }
 
-// MissRatesGroupedStream is MissRatesGrouped over any address stream.
+// MissRatesGroupedStream is the rate-only form of
+// SimulateConfigsGroupedStream: the miss rate of every configuration,
+// index-aligned with cfgs. Its FIFO and random fallbacks are plain
+// caches that skip the 3C shadow, so a sweep that only plots miss rates
+// pays nothing for the classification it would discard.
 func MissRatesGroupedStream(ctx context.Context, s AddrStream, cfgs []Config) ([]float64, error) {
 	p, err := planSweep(cfgs, false)
 	if err != nil {

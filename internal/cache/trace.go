@@ -13,9 +13,9 @@ import (
 // AddrStream is a read-only texel address stream consumable in ordered
 // blocks. *Trace is the fully materialized implementation; compact
 // delta-encoded traces (internal/trace) stream their blocks out of the
-// encoded form without ever materializing the whole []uint64. The
-// stream-based replay entry points (ReplayStream, SimulateConfigs*Stream)
-// accept either.
+// encoded form without ever materializing the whole []uint64. Every
+// replay entry point (ReplayStream, ReplayStreamConcurrent and the
+// grouped sweeps) accepts either.
 type AddrStream interface {
 	// Len returns the number of addresses in the stream.
 	Len() int
@@ -120,6 +120,12 @@ func (t *Trace) Len() int { return len(t.Addrs) }
 // are views into Addrs, so iteration copies nothing.
 func (t *Trace) Cursor() Cursor { return &traceCursor{addrs: t.Addrs} }
 
+// replayChunkLen is the block length a *Trace cursor hands out: large
+// enough that the per-block dispatch vanishes against the ~ns cost of
+// one Access, small enough that a concurrent pass, which checks for
+// cancellation between blocks, stays prompt.
+const replayChunkLen = 1 << 14
+
 // traceCursor hands out replayChunkLen-sized views of a trace.
 type traceCursor struct {
 	addrs []uint64
@@ -136,34 +142,6 @@ func (c *traceCursor) Next() []uint64 {
 	return b
 }
 
-// Replay feeds the whole trace to each sink in turn. *StackDist is a Sink;
-// use Cache.Sink to replay into a cache simulator.
-//
-// Metrics are flushed in bulk after the pass (replay.addresses,
-// replay.pass): the per-address loops carry no instrumentation, and with
-// no registry attached the whole accounting reduces to one nil check.
-func (t *Trace) Replay(sinks ...Sink) {
-	reg := obs.Default()
-	var start time.Time
-	if reg != nil {
-		start = time.Now()
-	}
-	for _, s := range sinks {
-		if bs, ok := s.(batchSink); ok {
-			// Batch dispatch: the whole trace in one call keeps the
-			// sink's hot loop free of interface-call overhead.
-			bs.AccessBatch(t.Addrs)
-			continue
-		}
-		for _, a := range t.Addrs {
-			s.Access(a)
-		}
-	}
-	if reg != nil {
-		flushReplay(reg, start, uint64(t.Len())*uint64(len(sinks)), "pass")
-	}
-}
-
 // flushReplay records one finished replay pass: the address volume (the
 // numerator of addresses/sec) and the wall time under the given timer.
 func flushReplay(reg *obs.Registry, start time.Time, addrs uint64, timer string) {
@@ -173,8 +151,10 @@ func flushReplay(reg *obs.Registry, start time.Time, addrs uint64, timer string)
 }
 
 // SimulateConfigs replays the trace through a fresh classifying cache per
-// configuration and returns the resulting statistics, index-aligned with
-// cfgs.
+// configuration, one configuration after another, and returns the
+// resulting statistics, index-aligned with cfgs. It is the serial oracle
+// the grouped sweeps are checked against; sweeps that must be fast use
+// SimulateConfigsGroupedStream.
 func (t *Trace) SimulateConfigs(cfgs []Config) []Stats {
 	reg := obs.Default()
 	var start time.Time

@@ -17,7 +17,7 @@ func TestTraceRecordReplay(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	var got []uint64
-	tr.Replay(SinkFunc(func(a uint64) { got = append(got, a) }))
+	ReplayStream(tr, SinkFunc(func(a uint64) { got = append(got, a) }))
 	if !reflect.DeepEqual(got, []uint64{100, 200, 100}) {
 		t.Errorf("replay delivered %v", got)
 	}

@@ -170,11 +170,14 @@ func gridGroupInto(ctx context.Context, g shard.TraceGroup, prov exp.TraceProvid
 			rep.Note("pruned %s (%s, cost %d): dominated by measured %s", u.Tag(), u.Config, hw, by)
 			continue
 		}
-		stats, err := cache.SimulateConfigsStream(ctx, str, []cache.Config{u.Config})
+		c, err := cache.TryNewClassifying(u.Config)
 		if err != nil {
 			return err
 		}
-		s := stats[0]
+		if err := cache.ReplayStreamConcurrent(ctx, str, c.Sink()); err != nil {
+			return err
+		}
+		s := c.Stats()
 		pruner.Observe(shard.Point{
 			Trace: g.Key, Unit: u.Tag(), Label: u.Config.String(), Config: u.Config,
 			Accesses: s.Accesses, Misses: s.Misses, Cold: s.Cold, Cost: hw,

@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +27,7 @@ func drainOne(t *testing.T, ch <-chan Result) Result {
 	return r
 }
 
-func TestRunRequestSweep(t *testing.T) {
+func TestRunSweepRequest(t *testing.T) {
 	req := sweepReq("goblet")
 	ch, err := New().RunRequest(context.Background(), req)
 	if err != nil {
@@ -39,18 +41,45 @@ func TestRunRequestSweep(t *testing.T) {
 		t.Errorf("sweep result %q output:\n%s", r.ID, r.Output)
 	}
 
-	// The per-config replay mode is bit-identical to grouped.
-	ch2, err := New(WithSweepMode(exp.SweepPerConfig)).RunRequest(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 := drainOne(t, ch2); r2.Err != nil || r2.Output != r.Output {
-		t.Errorf("per-config sweep differs from grouped (err %v)", r2.Err)
-	}
-
 	// An unknown scene fails validation before any work starts.
 	if _, err := New().RunRequest(context.Background(), sweepReq("no-such-scene")); err == nil {
 		t.Error("unknown scene sweep accepted")
+	}
+}
+
+// TestSweepFieldAcceptedAndIgnored pins the wire decision on the "sweep"
+// field: v1 clients may still send it, so a strict decode accepts it,
+// validation passes for every value it ever took, and the NDJSON stream
+// is byte-identical to the same request without the field.
+func TestSweepFieldAcceptedAndIgnored(t *testing.T) {
+	const body = `{"scene":"goblet","scale":8,"configs":[` +
+		`{"size_bytes":16384,"line_bytes":64,"ways":2},` +
+		`{"size_bytes":8192,"line_bytes":64,"ways":2,"policy":"fifo"}]%s}`
+	stream := func(sweep string) string {
+		t.Helper()
+		dec := json.NewDecoder(strings.NewReader(fmt.Sprintf(body, sweep)))
+		dec.DisallowUnknownFields()
+		var req api.ExperimentRequest
+		if err := dec.Decode(&req); err != nil {
+			t.Fatalf("decoding %s: %v", sweep, err)
+		}
+		if err := api.Validate(req.Normalized()); err != nil {
+			t.Fatalf("validating %s: %v", sweep, err)
+		}
+		var buf bytes.Buffer
+		if err := New().RunRequestNDJSON(context.Background(), req, &buf, nil); err != nil {
+			t.Fatalf("running %s: %v", sweep, err)
+		}
+		return buf.String()
+	}
+	want := stream("")
+	if !strings.Contains(want, `"Miss rate"`) {
+		t.Fatalf("sweep stream carries no table rows:\n%s", want)
+	}
+	for _, sweep := range []string{`,"sweep":"per-config"`, `,"sweep":"grouped"`} {
+		if got := stream(sweep); got != want {
+			t.Errorf("request with %s streamed\n%s\nwant\n%s", sweep, got, want)
+		}
 	}
 }
 

@@ -34,13 +34,13 @@ func claimTrace(t *testing.T, scene string, spec texture.LayoutSpec, trav raster
 
 func missRateFA(tr *cache.Trace, sizeBytes, lineBytes int) float64 {
 	sd := cache.NewStackDist(lineBytes)
-	tr.Replay(sd)
+	cache.ReplayStream(tr, sd)
 	return sd.MissRateAt(sizeBytes)
 }
 
 func missRate(tr *cache.Trace, cfg cache.Config) float64 {
 	c := cache.New(cfg)
-	tr.Replay(c.Sink())
+	cache.ReplayStream(tr, c.Sink())
 	return c.Stats().MissRate()
 }
 

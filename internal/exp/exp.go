@@ -37,23 +37,6 @@ type TraceProvider interface {
 	SceneTrace(ctx context.Context, key TraceKey, scale int) (cache.AddrStream, error)
 }
 
-// SweepMode selects how an experiment replays a configuration sweep
-// over a trace.
-type SweepMode int
-
-const (
-	// SweepGrouped (the default) runs each sweep through the single-pass
-	// grouped simulator: every LRU configuration sharing a line size is
-	// answered from one trace walk, with non-LRU configurations falling
-	// back to per-configuration replay. Results are bit-identical to
-	// SweepPerConfig.
-	SweepGrouped SweepMode = iota
-	// SweepPerConfig replays one cache per configuration concurrently,
-	// the pre-grouping behavior. Useful as a differential reference and
-	// when profiling the per-configuration simulator itself.
-	SweepPerConfig
-)
-
 // Config parameterizes an experiment run.
 type Config struct {
 	// Scale divides the screen and texture resolutions: 1 reproduces the
@@ -73,9 +56,6 @@ type Config struct {
 	// GOMAXPROCS, one forces the serial reference path. Traces are
 	// bit-identical at any setting, so results never depend on it.
 	RenderWorkers int
-	// Sweep selects the sweep replay strategy; the zero value is
-	// SweepGrouped. Both modes produce identical statistics.
-	Sweep SweepMode
 }
 
 // DefaultConfig runs everything at half resolution, a good
@@ -183,17 +163,6 @@ func traceScene(ctx context.Context, cfg Config, name string, layout texture.Lay
 	}
 	tr, _, err := s.TraceParallel(layout, trav, cfg.EffectiveRenderWorkers())
 	return tr, err
-}
-
-// sweepRates replays a configuration sweep over tr and returns the
-// per-configuration miss rates, honoring the configured SweepMode. The
-// two modes are bit-identical; grouped is the default because it
-// answers every LRU configuration of a line size from one trace walk.
-func sweepRates(ctx context.Context, cfg Config, tr cache.AddrStream, cfgs []cache.Config) ([]float64, error) {
-	if cfg.Sweep == SweepPerConfig {
-		return cache.MissRatesStream(ctx, tr, cfgs)
-	}
-	return cache.MissRatesGroupedStream(ctx, tr, cfgs)
 }
 
 // EffectiveRenderWorkers returns the render worker count clamped to a

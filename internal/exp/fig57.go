@@ -64,14 +64,14 @@ var fig57Scenes = []struct {
 // runAssocSweep prints miss rate vs cache size for each associativity,
 // replaying the trace through the whole (ways x size) grid in one
 // concurrent pass.
-func runAssocSweep(ctx context.Context, cfg Config, rep report.Reporter, tr cache.AddrStream, lineBytes int) error {
+func runAssocSweep(ctx context.Context, rep report.Reporter, tr cache.AddrStream, lineBytes int) error {
 	var cfgs []cache.Config
 	for _, ways := range assocWays {
 		for _, size := range curveSizes() {
 			cfgs = append(cfgs, cache.Config{SizeBytes: size, LineBytes: lineBytes, Ways: ways})
 		}
 	}
-	rates, err := sweepRates(ctx, cfg, tr, cfgs)
+	rates, err := cache.MissRatesGroupedStream(ctx, tr, cfgs)
 	if err != nil {
 		return err
 	}
@@ -100,7 +100,7 @@ func runFig57(ctx context.Context, cfg Config, rep report.Reporter) error {
 		}
 		rep.Note("--- %s (%s), blocked 8x8, 128B lines ---", sc.name, sc.dir)
 		beginCurve(rep, "assoc-"+sc.name, "associativity")
-		if err := runAssocSweep(ctx, cfg, rep, tr, lineBytes); err != nil {
+		if err := runAssocSweep(ctx, rep, tr, lineBytes); err != nil {
 			return err
 		}
 		rep.Note("")
@@ -121,7 +121,7 @@ func runFig57NB(ctx context.Context, cfg Config, rep report.Reporter) error {
 	}
 	rep.Note("%s", "--- goblet (horizontal), NONBLOCKED, 128B lines ---")
 	beginCurve(rep, "assoc-nonblocked", "associativity")
-	if err := runAssocSweep(ctx, cfg, rep, tr, 128); err != nil {
+	if err := runAssocSweep(ctx, rep, tr, 128); err != nil {
 		return err
 	}
 	rep.Note("")

@@ -186,7 +186,7 @@ func runInterframe(ctx context.Context, cfg Config, rep report.Reporter) error {
 			c := cache.New(cache.Config{SizeBytes: sz, LineBytes: 128, Ways: 2})
 			cache.ReplayStream(tr0, c.Sink())
 			f1 := c.Stats()
-			tr1.Replay(c.Sink())
+			cache.ReplayStream(tr1, c.Sink())
 			f2 := cache.Stats{
 				Accesses: c.Stats().Accesses - f1.Accesses,
 				Misses:   c.Stats().Misses - f1.Misses,

@@ -59,7 +59,7 @@ func runWilliams(ctx context.Context, cfg Config, rep report.Reporter) error {
 			for _, ways := range []int{1, 2, 0} {
 				cfgs = append(cfgs, cache.Config{SizeBytes: 16 << 10, LineBytes: 32, Ways: ways})
 			}
-			row, err := sweepRates(ctx, cfg, tr, cfgs)
+			row, err := cache.MissRatesGroupedStream(ctx, tr, cfgs)
 			if err != nil {
 				return err
 			}

@@ -66,7 +66,7 @@ func runWorstCase(ctx context.Context, cfg Config, rep report.Reporter) error {
 				return err
 			}
 			sd := cache.NewStackDist(32)
-			tr.Replay(sd)
+			cache.ReplayStream(tr, sd)
 			curveRow(rep, fmt.Sprintf("%.0f deg", deg), sd.Curve(curveSizes()))
 		}
 		rep.Note("")

@@ -99,7 +99,7 @@ func TestCompactReplayMatchesTrace(t *testing.T) {
 
 	cfg := cache.Config{SizeBytes: 16 << 10, LineBytes: 64, Ways: 2}
 	want := cache.NewClassifying(cfg)
-	tr.Replay(want.Sink())
+	want.AccessBatch(tr.Addrs)
 	got := cache.NewClassifying(cfg)
 	cache.ReplayStream(c, got.Sink())
 	if got.Stats() != want.Stats() {

@@ -189,20 +189,33 @@ func TestParetoPruningLossless(t *testing.T) {
 // process-level gates.
 var texsimBinary struct {
 	once sync.Once
+	dir  string
 	path string
 	err  error
+}
+
+// TestMain removes the shared texsim build once every test and
+// benchmark that might use it has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if texsimBinary.dir != "" {
+		os.RemoveAll(texsimBinary.dir)
+	}
+	os.Exit(code)
 }
 
 func buildTexsim(tb testing.TB) string {
 	tb.Helper()
 	texsimBinary.once.Do(func() {
 		// Not tb.TempDir(): the binary must outlive whichever test built
-		// it, since later tests and benchmarks share it.
+		// it, since later tests and benchmarks share it. TestMain
+		// removes it.
 		dir, err := os.MkdirTemp("", "texsim-bin-")
 		if err != nil {
 			texsimBinary.err = err
 			return
 		}
+		texsimBinary.dir = dir
 		path := filepath.Join(dir, "texsim")
 		out, err := exec.Command("go", "build", "-o", path, "./cmd/texsim").CombinedOutput()
 		if err != nil {

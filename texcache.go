@@ -39,15 +39,15 @@
 //	    _ = errors.As(err, &ce)
 //	    log.Fatal(err)
 //	}
-//	trace.Replay(c.Sink())
+//	texcache.ReplayStream(trace, c.Sink())
 //	fmt.Printf("miss rate %.2f%%\n", 100*c.Stats().MissRate())
 //	_ = renderer // framebuffer, frame statistics
 //
-// A whole sweep costs one pass: trace.SimulateConfigsGrouped answers
-// every LRU configuration sharing a line size from a single stack-
-// distance walk of the trace (falling back to per-configuration replay
-// for other policies), and trace.SimulateConfigsConcurrent replays every
-// configuration at once, each on its own goroutine. Both are
+// A whole sweep costs one pass: SimulateConfigsGroupedStream answers
+// every LRU configuration sharing a line size from a single stack
+// walk of the trace, falling back to one cache per configuration for
+// other policies within the same pass, and ReplayStreamConcurrent
+// feeds any set of sinks at once, each on its own goroutine. Both are
 // bit-identical to serial replay.
 //
 // Every table and figure of the paper's evaluation is regenerated by a
@@ -338,20 +338,13 @@ func CompactTraceFromTrace(t *Trace) *CompactTrace { return trace.CompactFromTra
 func OpenTraceStore(dir string) (*TraceStore, error) { return trace.Open(dir) }
 
 // ReplayStream feeds the whole address stream to each sink in turn;
-// statistics are bit-identical to Trace.Replay whatever the stream's
-// representation.
+// statistics are bit-identical whatever the stream's representation.
 func ReplayStream(s AddrStream, sinks ...Sink) { cache.ReplayStream(s, sinks...) }
 
 // ReplayStreamConcurrent feeds the whole address stream to every sink
 // concurrently, one sink per goroutine.
 func ReplayStreamConcurrent(ctx context.Context, s AddrStream, sinks ...Sink) error {
 	return cache.ReplayStreamConcurrent(ctx, s, sinks...)
-}
-
-// SimulateConfigsStream replays an address stream through a fresh
-// classifying cache per configuration in one concurrent pass.
-func SimulateConfigsStream(ctx context.Context, s AddrStream, cfgs []CacheConfig) ([]CacheStats, error) {
-	return cache.SimulateConfigsStream(ctx, s, cfgs)
 }
 
 // SimulateConfigsGroupedStream answers a whole configuration sweep over
@@ -481,16 +474,6 @@ type (
 // speak; within a version, revisions are strictly additive.
 const APIVersion = api.Version
 
-// Wire-form sweep replay modes (the string forms of SweepGrouped and
-// SweepPerConfig).
-const (
-	// RequestSweepGrouped answers every LRU configuration sharing a line
-	// size from one trace walk (the default when the field is empty).
-	RequestSweepGrouped = api.SweepGrouped
-	// RequestSweepPerConfig replays one cache per configuration.
-	RequestSweepPerConfig = api.SweepPerConfig
-)
-
 // Wire-stable request error codes; a *RequestError carries one and maps
 // it onto an HTTP status via HTTPStatus.
 const (
@@ -556,20 +539,6 @@ type (
 	// UnknownExperimentError reports an experiment ID that is not in the
 	// registry.
 	UnknownExperimentError = exp.UnknownExperimentError
-	// SweepMode selects how experiments replay configuration sweeps; see
-	// SweepGrouped and SweepPerConfig. Both modes are bit-identical.
-	SweepMode = exp.SweepMode
-)
-
-// Sweep replay modes.
-const (
-	// SweepGrouped (the default) answers every LRU configuration sharing
-	// a line size from one single-pass trace walk (stack-distance
-	// all-associativity simulation); non-LRU configurations fall back to
-	// per-configuration replay within the same pass.
-	SweepGrouped = exp.SweepGrouped
-	// SweepPerConfig replays one cache per configuration concurrently.
-	SweepPerConfig = exp.SweepPerConfig
 )
 
 // Experiment batch options.
@@ -587,10 +556,6 @@ var (
 	// WithProgress installs a per-experiment completion callback on a
 	// Run batch.
 	WithProgress = engine.WithProgress
-	// WithSweepMode overrides the batch configuration's sweep replay
-	// mode (SweepGrouped or SweepPerConfig); output is identical either
-	// way, only the wall-clock differs.
-	WithSweepMode = engine.WithSweepMode
 	// WithTraceDir attaches a persistent on-disk trace store to the
 	// batch's trace cache: rendered traces are written back, and later
 	// batches pointed at the same directory load them instead of

@@ -58,7 +58,7 @@ func TestPublicAPIRenderAndSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace.Replay(c.Sink())
+	texcache.ReplayStream(trace, c.Sink())
 	s := c.Stats()
 	if s.Accesses != uint64(trace.Len()) {
 		t.Errorf("cache saw %d accesses, trace has %d", s.Accesses, trace.Len())
@@ -68,7 +68,7 @@ func TestPublicAPIRenderAndSimulate(t *testing.T) {
 	}
 
 	sd := texcache.NewStackDist(64)
-	trace.Replay(sd)
+	texcache.ReplayStream(trace, sd)
 	if sd.Accesses() != uint64(trace.Len()) {
 		t.Error("stack distance profiler missed accesses")
 	}

@@ -38,7 +38,7 @@ func TestCompactTraceDifferentialStats(t *testing.T) {
 	ctx := context.Background()
 	want := tr.SimulateConfigs(cfgs)
 
-	streamed, err := texcache.SimulateConfigsStream(ctx, c, cfgs)
+	streamed, err := concurrentStats(ctx, c, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCompactTraceDifferentialStats(t *testing.T) {
 
 	// Single-sink serial replay, including the stack-distance profiler.
 	wantSD := texcache.NewStackDist(128)
-	tr.Replay(wantSD)
+	texcache.ReplayStream(tr, wantSD)
 	gotSD := texcache.NewStackDist(128)
 	texcache.ReplayStream(c, gotSD)
 	for _, size := range []int{4 << 10, 32 << 10, 256 << 10} {
