@@ -101,6 +101,7 @@ func coordinate(ctx context.Context, f flags, req texcache.ExperimentRequest, tr
 			}
 		}
 		cmd := exec.CommandContext(wctx, exe, args...)
+		dieWithParent(cmd)
 		cmd.Stderr = os.Stderr
 		pipe, err := cmd.StdoutPipe()
 		if err != nil {

@@ -2,6 +2,10 @@
 // traces — the raw material of the study. A saved trace can be replayed
 // through arbitrary cache configurations without re-rendering.
 //
+// A recorded file is a trace store entry, byte-identical to the one the
+// engine writes under -trace-dir for the same scene, scale, layout and
+// traversal, so info and sim read any .trace file from a store as well.
+//
 // Usage:
 //
 //	textrace record -scene goblet -scale 4 -layout blocked -block 8 -o goblet.trace
@@ -20,6 +24,7 @@ import (
 	"texcache/internal/raster"
 	"texcache/internal/scenes"
 	"texcache/internal/texture"
+	"texcache/internal/trace"
 )
 
 func main() {
@@ -110,20 +115,12 @@ func record(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
+	c := trace.CompactFromTrace(tr)
+	if err := trace.WriteFile(*out, trace.KeyFor(*scene, *scale, spec, trav), c); err != nil {
 		return err
 	}
-	defer f.Close()
-	n, err := tr.WriteTo(f)
-	if err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d accesses (%d textured fragments) to %s (%d bytes, %.2f bits/access)\n",
-		tr.Len(), r.Stats.FragmentsTextured, *out, n, 8*float64(n)/float64(tr.Len()))
+	fmt.Printf("recorded %d accesses (%d textured fragments) to %s (%d payload bytes, %.2f bits/access)\n",
+		tr.Len(), r.Stats.FragmentsTextured, *out, c.SizeBytes(), 8*float64(c.SizeBytes())/float64(tr.Len()))
 	return nil
 }
 
@@ -185,20 +182,20 @@ func locate(args []string) error {
 	return nil
 }
 
-func loadTrace(path string) (*cache.Trace, error) {
-	f, err := os.Open(path)
+// loadTrace reads a trace store entry and materializes its trace.
+func loadTrace(path string) (string, *cache.Trace, error) {
+	key, c, err := trace.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	defer f.Close()
-	return cache.ReadTrace(f)
+	return key, c.Decode(), nil
 }
 
 func info(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("info: expected one trace file")
 	}
-	tr, err := loadTrace(args[0])
+	key, tr, err := loadTrace(args[0])
 	if err != nil {
 		return err
 	}
@@ -213,6 +210,7 @@ func info(args []string) error {
 	}
 	sd := cache.NewStackDist(32)
 	cache.ReplayStream(tr, sd)
+	fmt.Printf("key:            %s\n", strings.ReplaceAll(strings.TrimSpace(key), "\n", " "))
 	fmt.Printf("accesses:       %d\n", tr.Len())
 	fmt.Printf("address range:  [%d, %d] (%.2f MB span)\n", lo, hi, float64(hi-lo)/(1<<20))
 	fmt.Printf("distinct 32B lines: %d (%.2f MB touched)\n",
@@ -237,7 +235,7 @@ func sim(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("sim: expected one trace file")
 	}
-	tr, err := loadTrace(fs.Arg(0))
+	_, tr, err := loadTrace(fs.Arg(0))
 	if err != nil {
 		return err
 	}

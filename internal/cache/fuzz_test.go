@@ -1,54 +1,10 @@
 package cache
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"testing"
 )
-
-// FuzzReadTrace hardens the binary trace parser against corrupt input:
-// it must either return an error or a well-formed trace, never panic.
-func FuzzReadTrace(f *testing.F) {
-	// Seed with a valid trace and a few mutations.
-	tr := NewTrace(0)
-	for i := uint64(0); i < 100; i++ {
-		tr.Access(i * 37)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{})
-	f.Add([]byte("TXTR garbage"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// A successful parse must round-trip to the same addresses.
-		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("re-serialize failed: %v", err)
-		}
-		again, err := ReadTrace(&out)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if len(again.Addrs) != len(got.Addrs) {
-			t.Fatalf("round trip changed length: %d vs %d", len(again.Addrs), len(got.Addrs))
-		}
-		for i := range got.Addrs {
-			if got.Addrs[i] != again.Addrs[i] {
-				t.Fatalf("round trip changed address %d", i)
-			}
-		}
-	})
-}
 
 // FuzzSimulateConfigsGrouped differentially fuzzes the grouped
 // single-pass simulator against per-configuration serial simulation: any

@@ -1,10 +1,6 @@
 package cache
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"time"
 
 	"texcache/internal/obs"
@@ -172,82 +168,3 @@ func (t *Trace) SimulateConfigs(cfgs []Config) []Stats {
 	}
 	return out
 }
-
-// traceMagic begins the on-disk trace format: "TXTR" then version 1.
-var traceMagic = [8]byte{'T', 'X', 'T', 'R', 1, 0, 0, 0}
-
-// WriteTo serializes the trace in a simple little-endian binary format
-// (magic, count, delta-encoded varint addresses). It implements
-// io.WriterTo.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	wr := func(p []byte) error {
-		m, err := bw.Write(p)
-		n += int64(m)
-		return err
-	}
-	if err := wr(traceMagic[:]); err != nil {
-		return n, err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(t.Addrs)))
-	if err := wr(hdr[:]); err != nil {
-		return n, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	var prev uint64
-	for _, a := range t.Addrs {
-		// Zig-zag delta encoding: texture accesses are local, so deltas
-		// are short and the trace compresses several-fold.
-		delta := int64(a) - int64(prev)
-		prev = a
-		k := binary.PutUvarint(buf[:], zigzag(delta))
-		if err := wr(buf[:k]); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// ReadTrace deserializes a trace written by WriteTo.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("cache: reading trace magic: %w", err)
-	}
-	if magic != traceMagic {
-		return nil, fmt.Errorf("cache: bad trace magic %q", magic[:4])
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("cache: reading trace length: %w", err)
-	}
-	count := binary.LittleEndian.Uint64(hdr[:])
-	const maxTraceLen = 1 << 32
-	if count > maxTraceLen {
-		return nil, fmt.Errorf("cache: trace length %d exceeds limit", count)
-	}
-	// Cap the preallocation: the header is untrusted, and a hostile
-	// count must not allocate gigabytes before the body fails to parse.
-	hint := int(count)
-	if hint > 1<<20 {
-		hint = 1 << 20
-	}
-	t := NewTrace(hint)
-	var prev int64
-	for i := uint64(0); i < count; i++ {
-		u, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("cache: reading trace entry %d: %w", i, err)
-		}
-		prev += unzigzag(u)
-		t.Access(uint64(prev))
-	}
-	return t, nil
-}
-
-func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
-
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -1,11 +1,9 @@
 package cache
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestTraceRecordReplay(t *testing.T) {
@@ -50,71 +48,6 @@ func TestTraceSimulateConfigs(t *testing.T) {
 		if s.Cold+s.Capacity+s.Conflict != s.Misses {
 			t.Errorf("3C partition broken: %+v", s)
 		}
-	}
-}
-
-func TestTraceSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tr := NewTrace(0)
-	for i := 0; i < 5000; i++ {
-		tr.Access(uint64(rng.Int63n(1 << 30)))
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	if !reflect.DeepEqual(got.Addrs, tr.Addrs) {
-		t.Error("round trip changed addresses")
-	}
-}
-
-func TestTraceSerializationEmpty(t *testing.T) {
-	tr := NewTrace(0)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Errorf("empty trace round-tripped to %d entries", got.Len())
-	}
-}
-
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("not a trace file"))); err == nil {
-		t.Error("expected magic mismatch error")
-	}
-	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
-		t.Error("expected error on empty input")
-	}
-	// Truncated body.
-	tr := NewTrace(0)
-	tr.Access(1)
-	tr.Access(2)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTrace(bytes.NewReader(buf.Bytes()[:buf.Len()-1])); err == nil {
-		t.Error("expected error on truncated trace")
-	}
-}
-
-func TestZigzagRoundTrip(t *testing.T) {
-	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	// Small deltas encode small.
-	if zigzag(-1) != 1 || zigzag(1) != 2 || zigzag(0) != 0 {
-		t.Error("zigzag ordering unexpected")
 	}
 }
 

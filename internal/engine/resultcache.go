@@ -2,19 +2,15 @@ package engine
 
 import (
 	"bytes"
-	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"texcache/internal/api"
+	"texcache/internal/cas"
 	"texcache/internal/obs"
 	"texcache/internal/trace"
 )
@@ -37,42 +33,30 @@ func Cacheable(req api.ExperimentRequest) bool {
 	return req.Kind() != api.KindGrid
 }
 
-// resultKey canonicalizes a request's result identity. The canonical
-// string is echoed into persistent entries for verification; the hex
-// SHA-256 hash is the memory key and the <hash>.result filename stem.
-// Every version that can change the bytes is in the key: the API wire
-// version (request semantics), the trace codec version (address
-// generation), and the result format version (serialization).
-func resultKey(req api.ExperimentRequest) (canonical, hash string) {
-	canonical = "api=" + strconv.Itoa(api.Version) +
+// resultKey canonicalizes a request's result identity: the memory key,
+// the string echoed into persistent entries for verification, and (as
+// its hex SHA-256) the <hash>.result filename stem. Every version that
+// can change the bytes is in the key: the API wire version (request
+// semantics), the trace codec version (address generation), and the
+// result format version (serialization).
+func resultKey(req api.ExperimentRequest) string {
+	return "api=" + strconv.Itoa(api.Version) +
 		"\ncodec=" + trace.CodecVersion +
 		"\nresult=" + strconv.Itoa(ResultFormatVersion) +
 		"\nrequest=" + req.ResultIdentity() + "\n"
-	sum := sha256.Sum256([]byte(canonical))
-	return canonical, hex.EncodeToString(sum[:])
 }
 
-// resultEntry is one slot of the result cache. ready is closed once
-// data/err are final; coalesced waiters block on it (or their context)
-// instead of re-running the request. elem is the entry's LRU list node,
-// nil while the production is still in flight (in-flight entries are
-// never evicted).
-type resultEntry struct {
-	key       string // hex hash, the map key and filename stem
-	canonical string // pre-hash canonical key, echoed into stored entries
-	ready     chan struct{}
-	data      []byte
-	err       error
-	elem      *list.Element
-}
-
-// Default budgets for the memory tier. 256 finished streams at the
-// observed ~2-60KB per stream is a few MB of memory; the byte budget
-// backstops pathological giant streams.
+// Budgets for the memory tier. 256 finished streams at the observed
+// ~2-60KB per stream is a few MB of memory; the byte budget backstops
+// pathological giant streams.
 const (
-	defaultResultMaxEntries = 256
-	defaultResultMaxBytes   = 64 << 20
+	resultMaxEntries = 256
+	resultMaxBytes   = 64 << 20
 )
+
+// resultMagic begins every persistent entry: "TXRESULT" then format
+// version 1.
+const resultMagic = "TXRESULT\x01"
 
 // ResultCache memoizes finished NDJSON result streams keyed by the
 // canonical request identity, with single-flight semantics: when several
@@ -85,85 +69,67 @@ const (
 // The memory tier is a bounded LRU over completed entries; above the
 // entry or byte budget the least-recently-served stream is evicted (and
 // re-produced on the next request — eviction is never a correctness
-// event). With Dir attached the cache gains a persistent tier mirroring
-// the trace store: entries live as <sha256(key)>.result files written
-// atomically (temp file + rename), verified on load (magic, key echo,
-// payload checksum), with any damaged entry deleted and treated as a
-// miss.
+// event). With a directory attached the cache gains a persistent tier
+// mirroring the trace store: entries live as <sha256(key)>.result cas
+// entries, and any damaged entry is deleted and treated as a miss.
 //
 // Failed productions are not cached: the entry is dropped so a later
 // request (perhaps with a different deadline) retries. Only streams that
 // finished with no result error and no write error are stored.
 type ResultCache struct {
-	// MaxEntries and MaxBytes bound the memory tier; zero means the
-	// default budget (256 entries, 64MB), negative means unlimited. Set
-	// before the first Serve call.
-	MaxEntries int
-	MaxBytes   int64
+	mem *cas.Memo[string, []byte]
+	dir *cas.Dir // persistent tier, nil until AttachDir
 
-	// Dir, when non-empty, roots the persistent tier. Use AttachDir to
-	// set it with directory creation and a fail-fast error.
-	Dir string
-
-	mu      sync.Mutex
-	entries map[string]*resultEntry
-	lru     *list.List // completed entries, front = most recently served
-	bytes   int64      // sum of completed entry sizes
-
-	hits, misses, coalesced, evictions int
-	produced, storeHits                int
+	hits, misses, coalesced, produced, storeHits atomic.Int64
 }
 
-// NewResultCache returns an empty memory-only result cache with default
-// budgets.
-func NewResultCache() *ResultCache {
-	return &ResultCache{entries: map[string]*resultEntry{}, lru: list.New()}
+// NewResultCache returns an empty memory-only result cache.
+func NewResultCache() *ResultCache { return newResultCache(resultMaxEntries, resultMaxBytes) }
+
+// newResultCache returns an empty memory-only result cache with the
+// given memory budgets.
+func newResultCache(maxEntries int, maxBytes int64) *ResultCache {
+	return &ResultCache{mem: cas.NewMemo[string, []byte](maxEntries, maxBytes, func() {
+		obs.Default().Sub("engine").Sub("result_cache").Counter("evictions").Inc()
+	})}
 }
 
 // AttachDir roots the persistent tier at dir, creating the directory.
+// Call it before the first Serve.
 func (rc *ResultCache) AttachDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d, err := cas.Open(dir, ".result", resultMagic)
+	if err != nil {
 		return fmt.Errorf("engine: opening result store: %w", err)
 	}
-	rc.Dir = dir
+	rc.dir = d
 	return nil
 }
 
 // Hits reports requests served from a completed entry (memory tier).
-func (rc *ResultCache) Hits() int { rc.mu.Lock(); defer rc.mu.Unlock(); return rc.hits }
+func (rc *ResultCache) Hits() int { return int(rc.hits.Load()) }
 
 // Misses reports requests that found no entry and became producers.
-func (rc *ResultCache) Misses() int { rc.mu.Lock(); defer rc.mu.Unlock(); return rc.misses }
+func (rc *ResultCache) Misses() int { return int(rc.misses.Load()) }
 
 // Coalesced reports requests that waited on an in-flight production.
-func (rc *ResultCache) Coalesced() int { rc.mu.Lock(); defer rc.mu.Unlock(); return rc.coalesced }
+func (rc *ResultCache) Coalesced() int { return int(rc.coalesced.Load()) }
 
 // Evictions reports completed entries dropped to stay within budget.
-func (rc *ResultCache) Evictions() int { rc.mu.Lock(); defer rc.mu.Unlock(); return rc.evictions }
+func (rc *ResultCache) Evictions() int { return rc.mem.Evictions() }
 
 // Produced reports how many times the cache actually ran a simulation —
 // the "exactly one simulation per distinct key" number. Persistent-tier
 // loads don't count.
-func (rc *ResultCache) Produced() int { rc.mu.Lock(); defer rc.mu.Unlock(); return rc.produced }
+func (rc *ResultCache) Produced() int { return int(rc.produced.Load()) }
 
 // StoreHits reports misses served by the persistent tier without a run.
-func (rc *ResultCache) StoreHits() int { rc.mu.Lock(); defer rc.mu.Unlock(); return rc.storeHits }
+func (rc *ResultCache) StoreHits() int { return int(rc.storeHits.Load()) }
 
 // Len reports the number of completed entries resident in memory.
-func (rc *ResultCache) Len() int { rc.mu.Lock(); defer rc.mu.Unlock(); return rc.lru.Len() }
+func (rc *ResultCache) Len() int { return rc.mem.Len() }
 
 // SizeBytes reports the total bytes of completed entries in memory.
-func (rc *ResultCache) SizeBytes() int64 { rc.mu.Lock(); defer rc.mu.Unlock(); return rc.bytes }
-
-// init lazily readies the maps so a zero-value ResultCache works.
-func (rc *ResultCache) init() {
-	if rc.entries == nil {
-		rc.entries = map[string]*resultEntry{}
-	}
-	if rc.lru == nil {
-		rc.lru = list.New()
-	}
-}
+func (rc *ResultCache) SizeBytes() int64 { return rc.mem.Bytes() }
 
 // Serve writes the finished NDJSON stream for req to w. A hit writes
 // stored bytes; a miss runs produce exactly once per key across all
@@ -176,239 +142,77 @@ func (rc *ResultCache) init() {
 // The producer's context governs the production; a cancelled waiter
 // returns early while the run continues for whoever still wants it.
 func (rc *ResultCache) Serve(ctx context.Context, req api.ExperimentRequest, w io.Writer, onResult func(Result), produce func(io.Writer, func(Result)) error) error {
-	canonical, key := resultKey(req)
+	canonical := resultKey(req)
 	reg := obs.Default().Sub("engine").Sub("result_cache")
 
-	rc.mu.Lock()
-	rc.init()
-	if e, ok := rc.entries[key]; ok {
-		if e.elem != nil {
-			// Completed entry: serve stored bytes.
-			rc.lru.MoveToFront(e.elem)
-			rc.hits++
-			rc.mu.Unlock()
-			reg.Counter("hits").Inc()
-			_, err := w.Write(e.data)
-			return err
+	// streamed is set by this caller's own production once the bytes
+	// have gone out to w; only the producer's goroutine touches it.
+	streamed := false
+	data, outcome, err := rc.mem.Do(ctx, canonical, func() ([]byte, int64, error) {
+		rc.misses.Add(1)
+		reg.Counter("misses").Inc()
+		// Persistent tier: a stored stream is promoted into memory and
+		// served without a run. A damaged entry, which the load has
+		// already removed, is counted and produced again.
+		if rc.dir != nil {
+			data, err := rc.dir.Load(canonical)
+			if err == nil {
+				rc.storeHits.Add(1)
+				reg.Counter("store_hits").Inc()
+				return data, int64(len(data)), nil
+			}
+			if !os.IsNotExist(err) {
+				reg.Counter("corrupt").Inc()
+			}
 		}
-		// In flight: wait for the producer, then serve its bytes.
-		rc.coalesced++
-		rc.mu.Unlock()
-		reg.Counter("coalesced").Inc()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if e.err != nil {
-			return e.err
-		}
-		_, err := w.Write(e.data)
-		return err
-	}
-	e := &resultEntry{key: key, canonical: canonical, ready: make(chan struct{})}
-	rc.entries[key] = e
-	rc.misses++
-	rc.mu.Unlock()
-	reg.Counter("misses").Inc()
+		rc.produced.Add(1)
+		reg.Counter("produced").Inc()
+		streamed = true
 
-	// Persistent tier: a stored stream is promoted into memory and
-	// served without a run.
-	if data, ok := rc.loadStored(canonical, key); ok {
-		rc.mu.Lock()
-		rc.storeHits++
-		rc.mu.Unlock()
-		reg.Counter("store_hits").Inc()
-		rc.complete(e, data, false)
-		_, err := w.Write(data)
-		return err
-	}
-
-	rc.mu.Lock()
-	rc.produced++
-	rc.mu.Unlock()
-	reg.Counter("produced").Inc()
-
-	// Run the simulation, streaming to the caller while buffering the
-	// bytes for the cache. A result-level error (Result.Err) poisons the
-	// stream for caching even when the writer never failed.
-	var buf bytes.Buffer
-	failed := false
-	cb := func(r Result) {
-		if r.Err != nil {
-			failed = true
-		}
-		if onResult != nil {
-			onResult(r)
-		}
-	}
-	err := produce(io.MultiWriter(w, &buf), cb)
-	if err != nil || failed || ctx.Err() != nil {
+		// Run the simulation, streaming to the caller while buffering the
+		// bytes for the cache. A result-level error (Result.Err) poisons
+		// the stream for caching even when the writer never failed.
+		var buf bytes.Buffer
+		failed := false
+		err := produce(io.MultiWriter(w, &buf), func(r Result) {
+			if r.Err != nil {
+				failed = true
+			}
+			if onResult != nil {
+				onResult(r)
+			}
+		})
 		if err == nil {
 			err = ctx.Err()
 		}
-		e.err = err
-		if e.err == nil {
+		if err == nil && failed {
 			// A per-result failure with a healthy stream: the bytes went
 			// out (with the caller's error trailer), but they describe a
 			// failed run and must not be replayed to future clients.
-			e.err = fmt.Errorf("engine: result stream not cacheable: a result failed")
+			err = fmt.Errorf("engine: result stream not cacheable: a result failed")
 		}
-		rc.mu.Lock()
-		delete(rc.entries, key)
-		rc.mu.Unlock()
-		close(e.ready)
-		return e.err
+		return buf.Bytes(), int64(buf.Len()), err
+	})
+	switch outcome {
+	case cas.Hit:
+		rc.hits.Add(1)
+		reg.Counter("hits").Inc()
+	case cas.Coalesced:
+		rc.coalesced.Add(1)
+		reg.Counter("coalesced").Inc()
 	}
-	rc.complete(e, buf.Bytes(), true)
-	return nil
-}
-
-// complete publishes a finished entry: installs it in the LRU, evicts
-// over budget, wakes waiters, and (for fresh productions) writes the
-// persistent tier back.
-func (rc *ResultCache) complete(e *resultEntry, data []byte, save bool) {
-	reg := obs.Default().Sub("engine").Sub("result_cache")
-	e.data = data
-	rc.mu.Lock()
-	e.elem = rc.lru.PushFront(e)
-	rc.bytes += int64(len(data))
-	maxEntries, maxBytes := rc.MaxEntries, rc.MaxBytes
-	if maxEntries == 0 {
-		maxEntries = defaultResultMaxEntries
+	if err != nil {
+		return err
 	}
-	if maxBytes == 0 {
-		maxBytes = defaultResultMaxBytes
-	}
-	evicted := 0
-	for rc.lru.Len() > 1 &&
-		((maxEntries > 0 && rc.lru.Len() > maxEntries) ||
-			(maxBytes > 0 && rc.bytes > maxBytes)) {
-		back := rc.lru.Back()
-		v := back.Value.(*resultEntry)
-		rc.lru.Remove(back)
-		delete(rc.entries, v.key)
-		rc.bytes -= int64(len(v.data))
-		rc.evictions++
-		evicted++
-	}
-	rc.mu.Unlock()
-	for i := 0; i < evicted; i++ {
-		reg.Counter("evictions").Inc()
-	}
-	close(e.ready)
-	if save && rc.Dir != "" {
-		// Best effort: an unwritable store degrades to cold repeats, not
-		// failures.
-		if rc.saveStored(e.canonical, e.key, data) == nil {
+	if streamed {
+		// The waiters are already released; write the persistent tier
+		// back. Best effort: an unwritable store degrades to cold
+		// repeats, not failures.
+		if rc.dir != nil && rc.dir.Save(canonical, data) == nil {
 			reg.Counter("store_saves").Inc()
 		}
+		return nil
 	}
-}
-
-// resultMagic begins every persistent entry: "TXRESULT" then format
-// version 1.
-var resultMagic = [9]byte{'T', 'X', 'R', 'E', 'S', 'U', 'L', 'T', 1}
-
-// File layout after the magic, little-endian, mirroring the trace
-// store:
-//
-//	uint32   key length    (echo of the canonical key string)
-//	string   canonical key
-//	uint64   payload length in bytes
-//	[32]byte SHA-256 of payload
-//	bytes    payload (the finished NDJSON stream)
-
-// maxResultKeyLen bounds the untrusted key-length field on load.
-const maxResultKeyLen = 1 << 20
-
-// storedPath returns the persistent entry filename for a key hash.
-func (rc *ResultCache) storedPath(hash string) string {
-	return filepath.Join(rc.Dir, hash+".result")
-}
-
-// loadStored reads and verifies one persistent entry; any damaged entry
-// is deleted and reported as a miss.
-func (rc *ResultCache) loadStored(canonical, hash string) ([]byte, bool) {
-	if rc.Dir == "" {
-		return nil, false
-	}
-	data, err := rc.loadStoredVerified(canonical, hash)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			obs.Default().Sub("engine").Sub("result_cache").Counter("corrupt").Inc()
-			// Present but unusable: remove it so the next save starts
-			// clean. Removal failure is irrelevant — it stays a miss.
-			os.Remove(rc.storedPath(hash))
-		}
-		return nil, false
-	}
-	return data, true
-}
-
-func (rc *ResultCache) loadStoredVerified(canonical, hash string) ([]byte, error) {
-	raw, err := os.ReadFile(rc.storedPath(hash))
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < len(resultMagic)+4 {
-		return nil, fmt.Errorf("engine: result entry shorter than header")
-	}
-	if !bytes.Equal(raw[:len(resultMagic)], resultMagic[:]) {
-		return nil, fmt.Errorf("engine: bad result entry magic %q", raw[:len(resultMagic)])
-	}
-	raw = raw[len(resultMagic):]
-	keyLen := binary.LittleEndian.Uint32(raw[:4])
-	raw = raw[4:]
-	if keyLen > maxResultKeyLen || uint64(len(raw)) < uint64(keyLen)+40 {
-		return nil, fmt.Errorf("engine: result entry truncated in header")
-	}
-	if string(raw[:keyLen]) != canonical {
-		return nil, fmt.Errorf("engine: result entry key mismatch")
-	}
-	raw = raw[keyLen:]
-	payloadLen := binary.LittleEndian.Uint64(raw[:8])
-	var sum [32]byte
-	copy(sum[:], raw[8:40])
-	raw = raw[40:]
-	if uint64(len(raw)) != payloadLen {
-		return nil, fmt.Errorf("engine: result payload is %d bytes, header says %d", len(raw), payloadLen)
-	}
-	if sha256.Sum256(raw) != sum {
-		return nil, fmt.Errorf("engine: result payload checksum mismatch")
-	}
-	return raw, nil
-}
-
-// saveStored writes one persistent entry atomically (temp file +
-// rename), so a reader never observes a partial entry and racing
-// writers each install a complete one.
-func (rc *ResultCache) saveStored(canonical, hash string, data []byte) error {
-	hdr := make([]byte, 0, len(resultMagic)+4+len(canonical)+40)
-	hdr = append(hdr, resultMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(canonical)))
-	hdr = append(hdr, canonical...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(data)))
-	sum := sha256.Sum256(data)
-	hdr = append(hdr, sum[:]...)
-
-	f, err := os.CreateTemp(rc.Dir, hash+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("engine: saving result entry: %w", err)
-	}
-	tmp := f.Name()
-	if _, err = f.Write(hdr); err == nil {
-		_, err = f.Write(data)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, rc.storedPath(hash))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("engine: saving result entry: %w", err)
-	}
-	return nil
+	_, err = w.Write(data)
+	return err
 }

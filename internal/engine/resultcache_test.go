@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -121,8 +120,7 @@ func TestResultCacheHitServesStoredBytes(t *testing.T) {
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
-	rc := NewResultCache()
-	rc.MaxEntries = 2
+	rc := newResultCache(2, resultMaxBytes)
 	var mu sync.Mutex
 	runs := 0
 	produce := fakeProduce("x\n", &runs, &mu)
@@ -149,8 +147,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 }
 
 func TestResultCacheByteBudget(t *testing.T) {
-	rc := NewResultCache()
-	rc.MaxBytes = 8 // tiny: every completed entry exceeds it
+	rc := newResultCache(resultMaxEntries, 8) // tiny: every completed entry exceeds it
 	var mu sync.Mutex
 	runs := 0
 	produce := fakeProduce("0123456789\n", &runs, &mu)
@@ -163,21 +160,6 @@ func TestResultCacheByteBudget(t *testing.T) {
 	}
 	if rc.Evictions() == 0 {
 		t.Error("byte budget never evicted")
-	}
-}
-
-func TestResultCacheUnlimited(t *testing.T) {
-	rc := NewResultCache()
-	rc.MaxEntries = -1
-	rc.MaxBytes = -1
-	var mu sync.Mutex
-	runs := 0
-	produce := fakeProduce("x\n", &runs, &mu)
-	for i := 0; i < 10; i++ {
-		serveString(t, rc, sweepReq(fmt.Sprintf("s%d", i)), produce)
-	}
-	if rc.Len() != 10 || rc.Evictions() != 0 {
-		t.Errorf("unlimited cache: Len %d Evictions %d, want 10/0", rc.Len(), rc.Evictions())
 	}
 }
 
@@ -401,14 +383,14 @@ func TestCacheable(t *testing.T) {
 
 func TestResultKeyIgnoresExecutionFields(t *testing.T) {
 	base := sweepReq("goblet")
-	_, want := resultKey(base)
+	want := resultKey(base)
 
 	same := base
 	same.Tenant = "alice"
 	same.Workers = 7
 	same.RenderWorkers = 3
 	same.Sweep = api.SweepPerConfig
-	if _, got := resultKey(same); got != want {
+	if got := resultKey(same); got != want {
 		t.Error("execution-only fields changed the result key")
 	}
 
@@ -421,7 +403,7 @@ func TestResultKeyIgnoresExecutionFields(t *testing.T) {
 		diff := base
 		diff.Configs = append([]api.CacheConfig(nil), base.Configs...)
 		mut(&diff)
-		if _, got := resultKey(diff); got == want {
+		if got := resultKey(diff); got == want {
 			t.Errorf("%s change did not change the result key", name)
 		}
 	}
@@ -430,8 +412,7 @@ func TestResultKeyIgnoresExecutionFields(t *testing.T) {
 func TestTraceCacheLRUEviction(t *testing.T) {
 	// A capped trace cache stays within budget and re-renders evicted
 	// traces correctly.
-	tc := NewTraceCache()
-	tc.MaxEntries = 1
+	tc := newTraceCache(1, traceMaxBytes)
 	keys := []string{"goblet", "town"}
 	lens := map[string]int{}
 	for _, scene := range keys {

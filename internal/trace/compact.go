@@ -158,22 +158,20 @@ func (c *Compact) Decode() *cache.Trace {
 	return t
 }
 
-// validate walks the encoded bytes and checks they decode to exactly
-// count addresses with no bytes left over. Store loads run it after the
-// checksum, so a file that passes both replays exactly count addresses.
-func (c *Compact) validate() error {
-	data := c.data
-	for i := 0; i < c.count; i++ {
-		_, k := binary.Uvarint(data)
+// compactFromBytes wraps encoded bytes, counting their addresses: each
+// address is exactly one varint. It rejects a stream that ends mid-varint
+// or holds a varint that overflows 64 bits, so a cursor over the result
+// yields exactly Len() addresses.
+func compactFromBytes(data []byte) (*Compact, error) {
+	count := 0
+	for rest := data; len(rest) > 0; count++ {
+		_, k := binary.Uvarint(rest)
 		if k <= 0 {
-			return fmt.Errorf("trace: encoded stream truncated at address %d of %d", i, c.count)
+			return nil, fmt.Errorf("trace: encoded stream malformed at address %d", count)
 		}
-		data = data[k:]
+		rest = rest[k:]
 	}
-	if len(data) != 0 {
-		return fmt.Errorf("trace: %d trailing bytes after %d addresses", len(data), c.count)
-	}
-	return nil
+	return &Compact{data: data, count: count}, nil
 }
 
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }

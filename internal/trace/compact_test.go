@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"texcache/internal/cache"
 	"texcache/internal/obs"
@@ -45,8 +48,9 @@ func TestCompactRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: address %d decoded as %d, want %d", n, i, got.Addrs[i], addrs[i])
 			}
 		}
-		if err := c.validate(); err != nil {
-			t.Fatalf("n=%d: validate: %v", n, err)
+		// The counting decode recovers the address count from the bytes.
+		if back, err := compactFromBytes(c.data); err != nil || back.Len() != n {
+			t.Fatalf("n=%d: counting decode gave %v, %v", n, back, err)
 		}
 	}
 }
@@ -129,9 +133,9 @@ func TestCompactCursorsIndependent(t *testing.T) {
 
 func TestCompactMalformedTailStops(t *testing.T) {
 	c := CompactFromAddrs(texturedAddrs(100))
-	// Truncate mid-varint: the cursor must stop rather than spin, and
-	// validate must reject the stream.
-	c.data = c.data[:len(c.data)-1]
+	// End mid-varint: the cursor must stop rather than spin, and the
+	// counting decode must reject the stream.
+	c.data = endMidVarint(c.data)
 	cur := c.Cursor()
 	total := 0
 	for b := cur.Next(); b != nil; b = cur.Next() {
@@ -140,12 +144,29 @@ func TestCompactMalformedTailStops(t *testing.T) {
 	if total >= 100 {
 		t.Fatalf("truncated stream still yielded %d addresses", total)
 	}
-	if err := c.validate(); err == nil {
-		t.Fatal("validate accepted a truncated stream")
+	if _, err := compactFromBytes(c.data); err == nil {
+		t.Fatal("counting decode accepted a stream ending mid-varint")
 	}
-	c.data = append(c.data, 0, 0, 0)
-	if err := c.validate(); err == nil {
-		t.Fatal("validate accepted trailing bytes")
+	// A 10-byte varint whose last byte exceeds 1 overflows 64 bits.
+	if _, err := compactFromBytes(append(bytes.Repeat([]byte{0xff}, 9), 0x02)); err == nil {
+		t.Fatal("counting decode accepted an overflowing varint")
+	}
+}
+
+// endMidVarint returns a copy of an encoded stream whose last byte is
+// replaced by a continuation byte, so the stream ends mid-varint.
+func endMidVarint(data []byte) []byte {
+	return append(slices.Clone(data[:len(data)-1]), 0x80)
+}
+
+func TestZigzagRoundTrip(t *testing.T) {
+	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	// Small deltas encode small.
+	if zigzag(-1) != 1 || zigzag(1) != 2 || zigzag(0) != 0 {
+		t.Error("zigzag ordering unexpected")
 	}
 }
 

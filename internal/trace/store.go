@@ -1,17 +1,15 @@
 package trace
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
+	"texcache/internal/cas"
 	"texcache/internal/obs"
+	"texcache/internal/raster"
+	"texcache/internal/texture"
 )
 
 // CodecVersion names the encoded trace format. It participates in every
@@ -21,16 +19,28 @@ const CodecVersion = "txc2"
 
 // Key identifies one rendered address stream for the store: everything
 // the stream depends on, and nothing it doesn't (cache parameters never
-// appear — that is the whole point of trace-driven simulation). Layout,
-// Traversal and Options are caller-canonicalized strings; two keys are
-// the same entry iff every field matches.
+// appear — that is the whole point of trace-driven simulation). Layout
+// and Traversal are caller-canonicalized strings; two keys are the same
+// entry iff every field matches.
 type Key struct {
 	Scene     string
 	Scale     int
 	Layout    string
 	Traversal string
-	Options   string
 	Version   string
+}
+
+// KeyFor is the store key of the stream a scene renders at scale under
+// layout and traversal. The two structs render via %+v, so any new field
+// (which would change the address stream) changes the key.
+func KeyFor(scene string, scale int, layout texture.LayoutSpec, traversal raster.Traversal) Key {
+	return Key{
+		Scene:     scene,
+		Scale:     scale,
+		Layout:    fmt.Sprintf("%+v", layout),
+		Traversal: fmt.Sprintf("%+v", traversal),
+		Version:   CodecVersion,
+	}
 }
 
 // canonical renders the key as the exact byte string that is hashed for
@@ -40,60 +50,39 @@ func (k Key) canonical() string {
 		"\nscale=" + strconv.Itoa(k.Scale) +
 		"\nlayout=" + k.Layout +
 		"\ntraversal=" + k.Traversal +
-		"\noptions=" + k.Options +
 		"\nversion=" + k.Version + "\n"
 }
 
 // Hash returns the content address of the key: the hex SHA-256 of its
 // canonical form, which is also the store filename stem.
-func (k Key) Hash() string {
-	sum := sha256.Sum256([]byte(k.canonical()))
-	return hex.EncodeToString(sum[:])
-}
+func (k Key) Hash() string { return cas.Hash(k.canonical()) }
 
-// Store is a content-addressed directory of encoded traces. Entries are
-// written atomically (temp file + rename) and verified on load (magic,
-// key echo, payload checksum); any damaged or unreadable entry is
-// treated as a miss and deleted, so corruption silently regenerates.
-// Concurrent writers racing on one key are safe: each renames its own
-// complete temp file, and either winner's bytes are a valid entry for
-// the key.
+// storeMagic begins every store entry: "TXSTORE" then format version 3.
+// Version 2 also carried the address count; version 3 recovers it from
+// the payload, where it sits under the checksum.
+const storeMagic = "TXSTORE\x03"
+
+// Store is a content-addressed directory of encoded traces: cas entries
+// whose payload is the raw Compact bytes. Any damaged or unreadable entry
+// is treated as a miss and deleted, so corruption silently regenerates.
+// Concurrent writers racing on one key are safe: either winner's bytes
+// are a valid entry for the key.
 type Store struct {
-	dir string
+	dir     string
+	entries *cas.Dir
 }
 
 // Open returns a store rooted at dir, creating the directory if needed.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	entries, err := cas.Open(dir, ".trace", storeMagic)
+	if err != nil {
 		return nil, fmt.Errorf("trace: opening store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, entries: entries}, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// path returns the entry filename for a key.
-func (s *Store) path(k Key) string {
-	return filepath.Join(s.dir, k.Hash()+".trace")
-}
-
-// storeMagic begins every store file: "TXSTORE" then format version 2
-// (version 1 was the raw cache.Trace stream format, which carried no
-// key echo or checksum).
-var storeMagic = [8]byte{'T', 'X', 'S', 'T', 'O', 'R', 'E', 2}
-
-// File layout after the magic, all little-endian:
-//
-//	uint32  key length     (echo of Key.canonical, guards hash collisions
-//	string  canonical key   and lets tools identify entries)
-//	uint64  address count
-//	uint64  payload length in bytes
-//	[32]byte SHA-256 of payload
-//	bytes   payload (Compact sync blocks)
-
-// maxKeyLen bounds the untrusted key-length field on load.
-const maxKeyLen = 1 << 16
 
 // Load returns the stored trace for key, or (nil, false) on any miss:
 // absent, truncated, checksum mismatch, wrong key echo, or undecodable.
@@ -106,7 +95,14 @@ func (s *Store) Load(k Key) (*Compact, bool) {
 	if reg != nil {
 		start = time.Now()
 	}
-	c, err := s.load(k)
+	canonical := k.canonical()
+	payload, err := s.entries.Load(canonical)
+	var c *Compact
+	if err == nil {
+		if c, err = compactFromBytes(payload); err != nil {
+			os.Remove(s.entries.File(canonical))
+		}
+	}
 	if reg != nil {
 		st := reg.Sub("trace").Sub("store")
 		st.Timer("load").ObserveSince(start)
@@ -119,68 +115,19 @@ func (s *Store) Load(k Key) (*Compact, bool) {
 			}
 		}
 	}
-	if err != nil {
-		if !os.IsNotExist(err) {
-			// Anything present but unusable is removed so the next Save
-			// starts clean. Removal failure is irrelevant: it stays a miss.
-			os.Remove(s.path(k))
-		}
-		return nil, false
-	}
-	return c, true
+	return c, err == nil
 }
 
-// load reads and fully verifies one entry.
-func (s *Store) load(k Key) (*Compact, error) {
-	raw, err := os.ReadFile(s.path(k))
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < len(storeMagic)+4 {
-		return nil, fmt.Errorf("trace: store entry shorter than header")
-	}
-	if !bytes.Equal(raw[:8], storeMagic[:]) {
-		return nil, fmt.Errorf("trace: bad store magic %q", raw[:8])
-	}
-	raw = raw[8:]
-	keyLen := binary.LittleEndian.Uint32(raw[:4])
-	raw = raw[4:]
-	if keyLen > maxKeyLen || uint64(len(raw)) < uint64(keyLen)+48 {
-		return nil, fmt.Errorf("trace: store entry truncated in header")
-	}
-	if string(raw[:keyLen]) != k.canonical() {
-		return nil, fmt.Errorf("trace: store entry key mismatch")
-	}
-	raw = raw[keyLen:]
-	count := binary.LittleEndian.Uint64(raw[:8])
-	payloadLen := binary.LittleEndian.Uint64(raw[8:16])
-	var sum [32]byte
-	copy(sum[:], raw[16:48])
-	raw = raw[48:]
-	if uint64(len(raw)) != payloadLen {
-		return nil, fmt.Errorf("trace: store payload is %d bytes, header says %d", len(raw), payloadLen)
-	}
-	if sha256.Sum256(raw) != sum {
-		return nil, fmt.Errorf("trace: store payload checksum mismatch")
-	}
-	c := &Compact{data: raw, count: int(count)}
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Save writes the trace under key, atomically: the complete entry lands
-// in a temp file in the store directory and is renamed into place, so a
-// reader never observes a partial entry and racing writers each install
-// a complete one.
+// Save writes the trace under key, atomically, so a reader never
+// observes a partial entry and racing writers each install a complete
+// one.
 func (s *Store) Save(k Key, c *Compact) error {
 	reg := obs.Default()
 	var start time.Time
 	if reg != nil {
 		start = time.Now()
 	}
-	err := s.save(k, c)
+	err := s.entries.Save(k.canonical(), c.data)
 	if reg != nil {
 		st := reg.Sub("trace").Sub("store")
 		st.Timer("save").ObserveSince(start)
@@ -192,34 +139,26 @@ func (s *Store) Save(k Key, c *Compact) error {
 	return err
 }
 
-func (s *Store) save(k Key, c *Compact) error {
-	key := k.canonical()
-	hdr := make([]byte, 0, 8+4+len(key)+48)
-	hdr = append(hdr, storeMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(key)))
-	hdr = append(hdr, key...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(c.count))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(c.data)))
-	sum := sha256.Sum256(c.data)
-	hdr = append(hdr, sum[:]...)
+// WriteFile writes c to path as a store entry under key: the same bytes
+// a Store rooted anywhere writes for that key.
+func WriteFile(path string, k Key, c *Compact) error {
+	return cas.WriteFile(path, storeMagic, k.canonical(), c.data)
+}
 
-	f, err := os.CreateTemp(s.dir, k.Hash()+".tmp-*")
+// ReadFile reads a store entry from path, returning its canonical key and
+// its trace. It rejects any file a Store would not load.
+func ReadFile(path string) (string, *Compact, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("trace: saving store entry: %w", err)
+		return "", nil, err
 	}
-	tmp := f.Name()
-	if _, err = f.Write(hdr); err == nil {
-		_, err = f.Write(c.data)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, s.path(k))
-	}
+	canonical, payload, err := cas.Decode(storeMagic, raw)
 	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: saving store entry: %w", err)
+		return "", nil, fmt.Errorf("trace: reading %s: %w", path, err)
 	}
-	return nil
+	c, err := compactFromBytes(payload)
+	if err != nil {
+		return "", nil, fmt.Errorf("trace: reading %s: %w", path, err)
+	}
+	return canonical, c, nil
 }
