@@ -41,7 +41,7 @@ deprecated:
 # `go doc -short .` prints more lines than FACADE_MAX. A change that
 # shrinks the facade lowers the number; raising it needs a reason in
 # CHANGES.md.
-FACADE_MAX = 143
+FACADE_MAX = 140
 facade:
 	@n=$$(go doc -short . | wc -l) ; \
 	echo "facade: $$n lines of go doc -short (ratchet $(FACADE_MAX))" ; \
@@ -85,7 +85,7 @@ golden-scale1:
 # packages: raise a floor when coverage improves, never lower it.
 cover:
 	@set -e; \
-	for pf in ./internal/cache:92.0 ./internal/texture:90.0 ./internal/trace:90.0 ./internal/cas:90.0 ./internal/pipeline:85.0 ./internal/parallel:85.0 ./internal/cost:95.0 ./internal/shard:85.0 ./internal/engine:85.0 ; do \
+	for pf in ./internal/cache:92.0 ./internal/arch:90.0 ./internal/texture:90.0 ./internal/trace:90.0 ./internal/cas:90.0 ./internal/pipeline:85.0 ./internal/parallel:85.0 ./internal/cost:95.0 ./internal/shard:85.0 ./internal/engine:85.0 ; do \
 		pkg=$${pf%:*} ; floor=$${pf#*:} ; \
 		pct=$$(go test -count=1 -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p') ; \
 		echo "coverage $$pkg: $$pct% (floor $$floor%)" ; \

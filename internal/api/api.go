@@ -20,7 +20,6 @@ import (
 	"texcache/internal/arch"
 	"texcache/internal/cache"
 	"texcache/internal/exp"
-	"texcache/internal/prefetch"
 	"texcache/internal/raster"
 	"texcache/internal/scenes"
 	"texcache/internal/texture"
@@ -463,11 +462,7 @@ func (c CacheConfig) Cache() (cache.Config, error) {
 // The trace provider is a runtime concern and stays nil; the engine (or
 // the server's shared cache) fills it in.
 func (r ExperimentRequest) ExpConfig() exp.Config {
-	return exp.Config{
-		Scale:         r.Scale,
-		Scenes:        r.Scenes,
-		RenderWorkers: r.RenderWorkers,
-	}
+	return exp.Config{Scale: r.Scale, Scenes: r.Scenes}
 }
 
 // LayoutSpec resolves the sweep request's layout, defaulting to the
@@ -581,7 +576,6 @@ func WrapError(err error) *Error {
 		ue *exp.UnknownExperimentError
 		se *scenes.UnknownSceneError
 		ac *arch.ConfigError
-		pc *prefetch.ConfigError
 		cc *cache.ConfigError
 	)
 	switch {
@@ -591,8 +585,6 @@ func WrapError(err error) *Error {
 		return &Error{V: Version, Code: CodeUnknownScene, Field: "scene", Message: err.Error(), cause: err}
 	case errors.As(err, &ac):
 		return &Error{V: Version, Code: CodeBadRequest, Field: "architecture." + ac.Field, Message: err.Error(), cause: err}
-	case errors.As(err, &pc):
-		return &Error{V: Version, Code: CodeBadRequest, Field: pc.Field, Message: err.Error(), cause: err}
 	case errors.As(err, &cc):
 		return &Error{V: Version, Code: CodeBadRequest, Field: "configs", Message: err.Error(), cause: err}
 	default:

@@ -10,7 +10,6 @@ import (
 	"texcache/internal/arch"
 	"texcache/internal/cache"
 	"texcache/internal/exp"
-	"texcache/internal/prefetch"
 	"texcache/internal/raster"
 	"texcache/internal/scenes"
 	"texcache/internal/texture"
@@ -212,7 +211,7 @@ func TestResolvedDefaults(t *testing.T) {
 		t.Errorf("CacheConfigs = %+v", cfgs)
 	}
 	cfg := ExperimentRequest{Scale: 4, Scenes: []string{"town"}, Sweep: SweepPerConfig, RenderWorkers: 3}.ExpConfig()
-	if cfg.Scale != 4 || cfg.RenderWorkers != 3 || len(cfg.Scenes) != 1 || cfg.Traces != nil {
+	if cfg.Scale != 4 || len(cfg.Scenes) != 1 || cfg.Traces != nil {
 		t.Errorf("ExpConfig = %+v", cfg)
 	}
 }
@@ -455,10 +454,5 @@ func TestWrapErrorConfigTypes(t *testing.T) {
 	bad.FillOccupancy = 0
 	if ae := WrapError(bad.Validate()); ae.Code != CodeBadRequest || ae.Field != "architecture.fill_occupancy" {
 		t.Errorf("WrapError(arch config) = %s/%s", ae.Code, ae.Field)
-	}
-
-	pbad := prefetch.Default(cache.Config{SizeBytes: 32 << 10, LineBytes: 128, Ways: 2}, -1)
-	if ae := WrapError(pbad.Validate()); ae.Code != CodeBadRequest || ae.Field != "fifo_depth" {
-		t.Errorf("WrapError(prefetch config) = %s/%s", ae.Code, ae.Field)
 	}
 }

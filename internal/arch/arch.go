@@ -261,6 +261,10 @@ func (t *Timeline) Accesses() uint64 { return t.accesses }
 // MissCount returns how many accesses missed.
 func (t *Timeline) MissCount() uint64 { return uint64(len(t.misses)) }
 
+// Misses returns the ascending access indices that missed. The slice is
+// the timeline's own storage and must be treated as read-only.
+func (t *Timeline) Misses() []uint64 { return t.misses }
+
 // CacheConfig returns the tag-array configuration the timeline holds
 // miss positions for.
 func (t *Timeline) CacheConfig() cache.Config { return t.cfg }
@@ -299,6 +303,12 @@ func (t *Timeline) Simulate(cfg Config) (Result, error) {
 	if n == 0 {
 		return res, nil
 	}
+	// A lead reaching past the end of the stream never binds: for every
+	// i < n, i%lead and i >= lead read the same either way. Clamping it
+	// changes no result and sizes bRing by the trace rather than by
+	// FragmentFIFO × TexelsPerFragment, which Validate caps only factor
+	// by factor.
+	lead = min(lead, n)
 
 	// Per-miss issue and release times index by miss ordinal; the ring
 	// buffers hold the sliding windows the queue-depth constraints read.

@@ -3,6 +3,8 @@ package arch
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"texcache/internal/cache"
@@ -100,11 +102,19 @@ func TestTimelineMatchesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cache.New(testCacheCfg())
-	cache.ReplayStream(tr, c.Sink())
+	var want []uint64
+	for i, a := range tr.Addrs {
+		if !c.Access(a) {
+			want = append(want, uint64(i))
+		}
+	}
 	st := c.Stats()
 	if tl.Accesses() != st.Accesses || tl.MissCount() != st.Misses {
 		t.Errorf("timeline %d/%d misses, plain replay %d/%d",
 			tl.MissCount(), tl.Accesses(), st.Misses, st.Accesses)
+	}
+	if got := tl.Misses(); !slices.Equal(got, want) {
+		t.Errorf("Misses() lists %d indices, plain replay missed at %d", len(got), len(want))
 	}
 	if tl.CacheConfig() != testCacheCfg() {
 		t.Errorf("CacheConfig = %v", tl.CacheConfig())
@@ -332,6 +342,41 @@ func TestDeterminism(t *testing.T) {
 		if again != first {
 			t.Fatalf("run %d diverged: %+v != %+v", run, again, first)
 		}
+	}
+}
+
+// TestSimulateMemoryBoundedByTrace: a fragment FIFO whose texel lead
+// (maxQueue fragments of 64 texels, 2^22 accesses) runs far past the
+// stream must cost no more memory than the stream itself, and give the
+// result of a lead that exactly covers it.
+func TestSimulateMemoryBoundedByTrace(t *testing.T) {
+	tl, err := NewTimeline(testCacheCfg(), randomTrace(4096, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tl.Accesses() != 4096 {
+		t.Fatalf("trace has %d accesses, want 4096", tl.Accesses())
+	}
+	huge := Default(testCacheCfg(), Prefetch)
+	huge.FragmentFIFO, huge.TexelsPerFragment = maxQueue, 64
+	exact := huge
+	exact.FragmentFIFO = 64 // 64 fragments × 64 texels = the whole trace
+	want, err := tl.Simulate(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := tl.Simulate(huge)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("over-long lead %+v != exact lead %+v", got, want)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("simulating a %d-access trace allocated %d bytes", tl.Accesses(), d)
 	}
 }
 

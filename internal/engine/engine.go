@@ -55,10 +55,6 @@ type Options struct {
 	// Workers bounds how many experiments run at once. Zero or negative
 	// means GOMAXPROCS.
 	Workers int
-	// Prewarm renders the traces declared by each experiment's Needs
-	// hook through the worker pool before any experiment starts, so the
-	// first experiments don't serialize on shared renders.
-	Prewarm bool
 	// RenderWorkers is the tile-parallel rasterization worker count for
 	// the engine-installed trace cache. Zero or negative means
 	// GOMAXPROCS; one forces serial rendering. Traces (and therefore
@@ -111,9 +107,6 @@ type Option func(*Options)
 // WithWorkers bounds the number of concurrently running experiments.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithPrewarm toggles rendering declared traces ahead of the experiments.
-func WithPrewarm(on bool) Option { return func(o *Options) { o.Prewarm = on } }
-
 // WithRenderWorkers sets the tile-parallel rasterization worker count
 // used by the engine's trace cache (0 = GOMAXPROCS, 1 = serial).
 func WithRenderWorkers(n int) Option { return func(o *Options) { o.RenderWorkers = n } }
@@ -160,9 +153,9 @@ type Engine struct {
 }
 
 // New returns an engine with the given options applied over defaults
-// (Workers = GOMAXPROCS, Prewarm on).
+// (Workers = GOMAXPROCS).
 func New(opts ...Option) *Engine {
-	o := Options{Workers: runtime.GOMAXPROCS(0), Prewarm: true}
+	o := Options{Workers: runtime.GOMAXPROCS(0)}
 	for _, f := range opts {
 		f(&o)
 	}
@@ -228,9 +221,7 @@ func (e *Engine) Run(ctx context.Context, ids []string, cfg exp.Config) (<-chan 
 
 	go func() {
 		defer close(out)
-		if e.opts.Prewarm {
-			e.prewarm(ctx, exps, cfg, sem)
-		}
+		e.prewarm(ctx, exps, cfg, sem)
 		for i, ex := range exps {
 			wg.Add(1)
 			go func(i int, ex exp.Experiment) {

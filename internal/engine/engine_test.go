@@ -299,8 +299,8 @@ func TestNewDefaults(t *testing.T) {
 	if e.opts.Workers < 1 {
 		t.Errorf("Workers = %d, want >= 1", e.opts.Workers)
 	}
-	e = New(WithPrewarm(false), WithWorkers(7))
-	if e.opts.Prewarm || e.opts.Workers != 7 {
+	e = New(WithWorkers(7))
+	if e.opts.Workers != 7 {
 		t.Errorf("options not applied: %+v", e.opts)
 	}
 }

@@ -51,11 +51,6 @@ type Config struct {
 	// experiment rendering privately — the hook through which the engine
 	// shares one memoized render across every experiment that needs it.
 	Traces TraceProvider
-	// RenderWorkers is the tile-parallel rasterization worker count for
-	// private renders (when Traces is nil): zero or negative means
-	// GOMAXPROCS, one forces the serial reference path. Traces are
-	// bit-identical at any setting, so results never depend on it.
-	RenderWorkers int
 }
 
 // DefaultConfig runs everything at half resolution, a good
@@ -149,7 +144,8 @@ func buildScene(cfg Config, name string) (*scenes.Scene, error) {
 
 // traceScene returns the texel address stream of one rendered frame,
 // through the configured provider when one is installed (sharing renders
-// across experiments) and by rendering privately otherwise.
+// across experiments) and by rendering privately, on GOMAXPROCS tile
+// workers, otherwise.
 func traceScene(ctx context.Context, cfg Config, name string, layout texture.LayoutSpec, trav raster.Traversal) (cache.AddrStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -161,17 +157,8 @@ func traceScene(ctx context.Context, cfg Config, name string, layout texture.Lay
 	if err != nil {
 		return nil, err
 	}
-	tr, _, err := s.TraceParallel(layout, trav, cfg.EffectiveRenderWorkers())
+	tr, _, err := s.TraceParallel(layout, trav, runtime.GOMAXPROCS(0))
 	return tr, err
-}
-
-// EffectiveRenderWorkers returns the render worker count clamped to a
-// minimum of 1, defaulting to GOMAXPROCS.
-func (c Config) EffectiveRenderWorkers() int {
-	if c.RenderWorkers < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.RenderWorkers
 }
 
 // curveSizes are the cache sizes (bytes) of the miss-rate-versus-size

@@ -1,8 +1,9 @@
-// Package perf implements the Section 7 machine model: a pipelined
-// fragment generator at a fixed clock reading multiple texels per cycle
-// from the SRAM texture cache, with memory bandwidth derived from miss
-// rates and rendering performance derived from whether the miss latency
-// is hidden by prefetching.
+// Package perf implements the bandwidth half of the Section 7 machine
+// model: a pipelined fragment generator at a fixed clock reading
+// multiple texels per cycle from the SRAM texture cache, its peak
+// fragment rate, and the memory bandwidth a miss rate demands at that
+// rate. What miss latency costs is timed by the cycle model in
+// internal/arch.
 package perf
 
 // Model holds the machine constants of Section 7.1.
@@ -17,21 +18,16 @@ type Model struct {
 	TexelsPerFragment int
 	// TexelBytes is the texel size (32 bits).
 	TexelBytes int
-	// MissLatencyCycles is the time to fill one line from DRAM when the
-	// latency is not hidden ("roughly fifty 10ns cycles for a 128 byte
-	// cache line" — scaled by line size).
-	MissLatencyCyclesPer128B float64
 }
 
 // Default returns the paper's machine: 100 MHz, 4 texels/cycle, trilinear
-// filtering, 32-bit texels, ~50-cycle 128-byte fills.
+// filtering, 32-bit texels.
 func Default() Model {
 	return Model{
-		ClockHz:                  100e6,
-		TexelsPerCycle:           4,
-		TexelsPerFragment:        8,
-		TexelBytes:               4,
-		MissLatencyCyclesPer128B: 50,
+		ClockHz:           100e6,
+		TexelsPerCycle:    4,
+		TexelsPerFragment: 8,
+		TexelBytes:        4,
 	}
 }
 
@@ -65,31 +61,4 @@ func (m Model) BandwidthReduction(missRate float64, lineBytes int) float64 {
 		return 0
 	}
 	return m.UncachedBandwidthBytesPerSecond() / b
-}
-
-// missLatencyCycles scales the 128-byte fill latency to a line size:
-// setup cost dominates, the burst scales with length.
-func (m Model) missLatencyCycles(lineBytes int) float64 {
-	const setup = 18 // cycles of RAS/CAS setup within the 50-cycle fill
-	burstPer128 := m.MissLatencyCyclesPer128B - setup
-	if burstPer128 < 0 {
-		// A fill faster than the setup floor: treat it all as setup so
-		// the latency never goes negative for short lines.
-		return m.MissLatencyCyclesPer128B
-	}
-	return setup + burstPer128*float64(lineBytes)/128
-}
-
-// SustainedFragmentsPerSecond returns the rendering performance at the
-// given miss rate. With latencyHidden (the Talisman-style prefetch of
-// Section 7.1.1) the pipeline runs at peak as long as bandwidth is met;
-// without it, every miss stalls the pipeline for the full fill latency.
-func (m Model) SustainedFragmentsPerSecond(missRate float64, lineBytes int, latencyHidden bool) float64 {
-	if latencyHidden {
-		return m.PeakFragmentsPerSecond()
-	}
-	cyclesPerFragment := float64(m.TexelsPerFragment) / float64(m.TexelsPerCycle)
-	missesPerFragment := missRate * float64(m.TexelsPerFragment)
-	cyclesPerFragment += missesPerFragment * m.missLatencyCycles(lineBytes)
-	return m.ClockHz / cyclesPerFragment
 }

@@ -65,62 +65,3 @@ func TestBandwidthReductionReproducesTable71(t *testing.T) {
 		t.Error("zero miss rate should report 0 (undefined) reduction")
 	}
 }
-
-func TestSustainedRateLatencyHidden(t *testing.T) {
-	m := Default()
-	if got := m.SustainedFragmentsPerSecond(0.05, 128, true); got != m.PeakFragmentsPerSecond() {
-		t.Error("hidden latency should sustain peak")
-	}
-}
-
-func TestSustainedRateStalls(t *testing.T) {
-	m := Default()
-	peak := m.PeakFragmentsPerSecond()
-	got := m.SustainedFragmentsPerSecond(0.02, 128, false)
-	if got >= peak {
-		t.Errorf("unhidden latency should be below peak: %v", got)
-	}
-	// 2% misses * 8 accesses = 0.16 misses/fragment * 50 cycles = 8
-	// stall cycles on top of 2 compute cycles: 10 cycles/fragment = 10M/s.
-	if math.Abs(got-10e6) > 1e5 {
-		t.Errorf("stalled rate = %v, want ~10e6", got)
-	}
-	// Zero miss rate converges to peak.
-	if z := m.SustainedFragmentsPerSecond(0, 128, false); z != peak {
-		t.Errorf("zero-miss stalled rate = %v, want peak", z)
-	}
-	// Higher clock makes the un-hidden penalty relatively worse
-	// (Section 7.1.1: "more pronounced as we increase the clock rate").
-	m2 := Default()
-	m2.ClockHz *= 2
-	frac1 := got / peak
-	frac2 := m2.SustainedFragmentsPerSecond(0.02, 128, false) / m2.PeakFragmentsPerSecond()
-	if frac2 != frac1 {
-		// Same cycle counts, so the fraction is clock-invariant in this
-		// model; the absolute gap doubles.
-		t.Errorf("fraction changed: %v vs %v", frac1, frac2)
-	}
-}
-
-func TestMissLatencyScalesWithLine(t *testing.T) {
-	m := Default()
-	l32 := m.missLatencyCycles(32)
-	l128 := m.missLatencyCycles(128)
-	if l128 != 50 {
-		t.Errorf("128B latency = %v, want 50", l128)
-	}
-	if l32 >= l128 || l32 <= 18 {
-		t.Errorf("32B latency = %v, want between setup and 50", l32)
-	}
-}
-
-func TestMissLatencyNeverNegative(t *testing.T) {
-	m := Default()
-	m.MissLatencyCyclesPer128B = 10 // below the 18-cycle setup floor
-	if l := m.missLatencyCycles(32); l < 0 || l > 10 {
-		t.Errorf("short-fill latency = %v, want within [0, 10]", l)
-	}
-	if r := m.SustainedFragmentsPerSecond(0.01, 32, false); r <= 0 || r > m.PeakFragmentsPerSecond() {
-		t.Errorf("sustained rate = %v out of range", r)
-	}
-}
