@@ -55,3 +55,62 @@ func FuzzSimulateConfigsGrouped(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStackDist differentially fuzzes the stack-distance kernel: for a
+// random stream, line size (4B..256B) and batch split, the profile fed
+// through AccessBatch must equal the one fed address by address, every
+// first access must be a cold miss, and MissesAt(k) must equal the misses
+// of a fully-associative LRU cache of k lines. Long streams over many
+// lines cross compactions and index growths.
+func FuzzStackDist(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint16(2048), uint16(64), uint8(0))     // 32B lines, short stream
+	f.Add(uint64(2), uint8(0), uint16(60000), uint16(300), uint8(200)) // 4B lines, wide and long: compacts
+	f.Add(uint64(3), uint8(6), uint16(9000), uint16(1), uint8(30))     // 256B lines, 1-addr batches
+	f.Add(uint64(4), uint8(5), uint16(30000), uint16(5000), uint8(255))
+
+	f.Fuzz(func(t *testing.T, seed uint64, lineLog uint8, n, maxBatch uint16, spread uint8) {
+		lineBytes := 4 << (lineLog % 7)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		// spread sets how many distinct lines the stream wanders over;
+		// runs on one address exercise the repeat fast path.
+		span := (int(spread) + 1) * 256 * lineBytes
+		addrs := make([]uint64, 0, int(n))
+		for len(addrs) < int(n) {
+			a := uint64(rng.Intn(span))
+			run := 1
+			switch rng.Intn(8) {
+			case 0:
+				a = uint64(rng.Intn(64 * lineBytes)) // a hot set
+			case 1:
+				run += rng.Intn(16)
+			}
+			for ; run > 0 && len(addrs) < int(n); run-- {
+				addrs = append(addrs, a)
+			}
+		}
+
+		scalar := NewStackDist(lineBytes)
+		for _, a := range addrs {
+			scalar.Access(a)
+		}
+		batch := NewStackDist(lineBytes)
+		for lo := 0; lo < len(addrs); {
+			k := min(rng.Intn(int(maxBatch)+1), len(addrs)-lo)
+			batch.AccessBatch(addrs[lo : lo+k])
+			lo += k
+		}
+		assertProfileEqual(t, "batch", profileOf(scalar), profileOf(batch))
+		if batch.ColdMisses() != uint64(batch.DistinctLines()) {
+			t.Fatalf("%d cold misses but %d distinct lines", batch.ColdMisses(), batch.DistinctLines())
+		}
+		for _, lines := range []int{1, 4, 32, 256} {
+			c := New(Config{SizeBytes: lines * lineBytes, LineBytes: lineBytes, Ways: 0})
+			for _, a := range addrs {
+				c.Access(a)
+			}
+			if got, want := batch.MissesAt(lines), c.Stats().Misses; got != want {
+				t.Fatalf("%dB lines, %d-line cache: MissesAt = %d, FA-LRU = %d", lineBytes, lines, got, want)
+			}
+		}
+	})
+}

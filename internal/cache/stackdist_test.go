@@ -2,8 +2,120 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// mattsonStack is the reference oracle for StackDist: Mattson's LRU
+// stack kept as a plain slice, most recent line first, and searched
+// linearly on every access, so one access costs O(distance).
+type mattsonStack struct {
+	lineShift uint
+	stack     []uint64 // stack[0] is the most recently used line
+	seen      map[uint64]bool
+	hist      []uint64
+	cold      uint64
+	accesses  uint64
+}
+
+func newMattsonStack(lineBytes int) *mattsonStack {
+	shift := uint(0)
+	for 1<<shift < lineBytes {
+		shift++
+	}
+	return &mattsonStack{lineShift: shift, seen: map[uint64]bool{}}
+}
+
+func (m *mattsonStack) access(addr uint64) {
+	la := addr >> m.lineShift
+	m.accesses++
+	d := len(m.stack)
+	if m.seen[la] {
+		d = slices.Index(m.stack, la)
+		for len(m.hist) <= d+1 {
+			m.hist = append(m.hist, 0)
+		}
+		m.hist[d+1]++
+	} else {
+		m.seen[la] = true
+		m.cold++
+		m.stack = append(m.stack, 0)
+	}
+	copy(m.stack[1:d+1], m.stack[:d])
+	m.stack[0] = la
+}
+
+// sdProfile is everything a profile answers: the distance histogram
+// without trailing zeros, the cold and access counts and the number of
+// distinct lines.
+type sdProfile struct {
+	hist           []uint64
+	cold, accesses uint64
+	distinct       int
+}
+
+func profileOf(s *StackDist) sdProfile {
+	return sdProfile{trimZeros(s.hist), s.ColdMisses(), s.Accesses(), s.DistinctLines()}
+}
+
+func (m *mattsonStack) profile() sdProfile {
+	return sdProfile{trimZeros(m.hist), m.cold, m.accesses, len(m.stack)}
+}
+
+func trimZeros(h []uint64) []uint64 {
+	n := len(h)
+	for n > 0 && h[n-1] == 0 {
+		n--
+	}
+	return h[:n]
+}
+
+func assertProfileEqual(t *testing.T, label string, want, got sdProfile) {
+	t.Helper()
+	if want.cold != got.cold || want.accesses != got.accesses || want.distinct != got.distinct {
+		t.Fatalf("%s: profile diverges: want (acc %d cold %d lines %d) got (acc %d cold %d lines %d)",
+			label, want.accesses, want.cold, want.distinct, got.accesses, got.cold, got.distinct)
+	}
+	if !slices.Equal(want.hist, got.hist) {
+		t.Fatalf("%s: distance histogram diverges:\nwant %v\ngot  %v", label, want.hist, got.hist)
+	}
+}
+
+// assertMatchesOracle replays addrs through the list-based oracle at s's
+// line size and requires s's profile to equal it.
+func assertMatchesOracle(t *testing.T, label string, addrs []uint64, s *StackDist) {
+	t.Helper()
+	m := newMattsonStack(s.LineBytes())
+	for _, a := range addrs {
+		m.access(a)
+	}
+	assertProfileEqual(t, label, m.profile(), profileOf(s))
+}
+
+// sdEvents counts, from the profiler's own fields, the compactions (the
+// clock running backwards) and index growths (the slot table changing
+// size) that a sequence of feeds crossed. It counts at most one of each
+// per feed, so it is a lower bound.
+type sdEvents struct{ compactions, growths int }
+
+func (e *sdEvents) observe(s *StackDist, feed func()) {
+	now, slots := s.now, len(s.slots)
+	feed()
+	if s.now < now {
+		e.compactions++
+	}
+	if len(s.slots) != slots {
+		e.growths++
+	}
+}
+
+func (e *sdEvents) require(t *testing.T, compactions, growths int) {
+	t.Helper()
+	if e.compactions < compactions || e.growths < growths {
+		t.Fatalf("crossed %d compactions and %d index growths, want at least %d and %d",
+			e.compactions, e.growths, compactions, growths)
+	}
+}
 
 func TestStackDistSimpleSequence(t *testing.T) {
 	s := NewStackDist(4) // line == one address unit of 4 bytes
@@ -25,6 +137,18 @@ func TestStackDistSimpleSequence(t *testing.T) {
 	// Capacity 2 lines: the re-access misses too.
 	if got := s.MissesAt(2); got != 4 {
 		t.Errorf("MissesAt(2) = %d, want 4", got)
+	}
+}
+
+func TestStackDistEmptyAndZeroCapacity(t *testing.T) {
+	s := NewStackDist(32)
+	if got := s.MissRateAt(1 << 10); got != 0 {
+		t.Errorf("empty profile MissRateAt = %v, want 0", got)
+	}
+	s.AccessBatch([]uint64{0, 0, 64})
+	// A cache with no lines misses every access.
+	if got := s.MissesAt(0); got != 3 {
+		t.Errorf("MissesAt(0) = %d, want 3", got)
 	}
 }
 
@@ -78,22 +202,30 @@ func TestStackDistMatchesDirectSimulation(t *testing.T) {
 }
 
 func TestStackDistCompaction(t *testing.T) {
-	// Force a compaction by exceeding the Fenwick capacity, then check
-	// distances still match a direct simulation. Use a small synthetic
-	// cap via many accesses over few lines: compaction triggers on the
-	// clock, not on distinct lines, so a long trace suffices.
+	// 4096 distinct lines grow the line index from 1024 slots to 8192;
+	// then a cycle over 8 lines runs the clock across the axis again and
+	// again. Every cycle access has distance 8, and compaction must not
+	// move any of them.
+	const lines, cycle = 4096, 5 * sdInitialAxis
 	s := NewStackDist(4)
-	n := fenwickCap + 1000
-	// Cycle over 8 lines: distances are all 8 after warmup.
-	for i := 0; i < n; i++ {
-		s.Access(uint64(i%8) * 4)
+	var ev sdEvents
+	var addrs []uint64
+	for i := 0; i < lines+cycle; i++ {
+		a := uint64(i) * 4
+		if i >= lines {
+			a = uint64(i%8) * 4
+		}
+		addrs = append(addrs, a)
+		ev.observe(s, func() { s.Access(a) })
 	}
-	if got := s.MissesAt(8); got != 8 {
-		t.Errorf("MissesAt(8) = %d, want 8 (cold only)", got)
+	ev.require(t, 3, 2)
+	if got, want := s.MissesAt(8), uint64(lines+8); got != want {
+		t.Errorf("MissesAt(8) = %d, want %d (cold only)", got, want)
 	}
-	if got := s.MissesAt(7); got != uint64(n) {
-		t.Errorf("MissesAt(7) = %d, want %d (every access misses)", got, n)
+	if got := s.MissesAt(7); got != uint64(len(addrs)) {
+		t.Errorf("MissesAt(7) = %d, want %d (every access misses)", got, len(addrs))
 	}
+	assertMatchesOracle(t, "compaction", addrs, s)
 }
 
 func TestStackDistCurve(t *testing.T) {
@@ -138,4 +270,69 @@ func TestStackDistInvalidLine(t *testing.T) {
 		}
 	}()
 	NewStackDist(3)
+}
+
+// TestStackDistMatchesMattsonOracle checks the kernel against the
+// list-based Mattson stack on the stream shapes its shortcuts depend on:
+// long runs on the most recently used line, more distinct lines than the
+// initial time axis holds, and Access and AccessBatch interleaved.
+func TestStackDistMatchesMattsonOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+
+	// Runs of up to 40 repeats of a line drawn from a 600-line pool,
+	// with short strides between neighbouring addresses.
+	var runs []uint64
+	for len(runs) < 60000 {
+		a := uint64(rng.Intn(600)) * 32
+		for k := rng.Intn(40); k >= 0; k-- {
+			runs = append(runs, a+uint64(rng.Intn(32)))
+		}
+	}
+
+	// A window sliding over 24K lines, with returns to a small hot set:
+	// the live set outgrows the 2^14-time axis, so the axis doubles.
+	var wide []uint64
+	for i := 0; i < 90000; i++ {
+		if rng.Intn(4) == 0 {
+			wide = append(wide, uint64(rng.Intn(64))*16)
+		} else {
+			wide = append(wide, uint64(i/4+rng.Intn(64))%24000*16)
+		}
+	}
+
+	for _, tc := range []struct {
+		name      string
+		lineBytes int
+		addrs     []uint64
+	}{
+		{"mru-runs/32B", 32, runs},
+		{"mru-runs/4B", 4, runs},
+		{"wide/16B", 16, wide},
+		{"wide/64B", 64, wide},
+	} {
+		scalar := NewStackDist(tc.lineBytes)
+		for _, a := range tc.addrs {
+			scalar.Access(a)
+		}
+		assertMatchesOracle(t, tc.name+" scalar", tc.addrs, scalar)
+
+		// Alternate single Access calls with batches of random length.
+		mixed := NewStackDist(tc.lineBytes)
+		for lo := 0; lo < len(tc.addrs); {
+			if rng.Intn(2) == 0 {
+				mixed.Access(tc.addrs[lo])
+				lo++
+				continue
+			}
+			n := min(rng.Intn(300), len(tc.addrs)-lo)
+			mixed.AccessBatch(tc.addrs[lo : lo+n])
+			lo += n
+		}
+		assertProfileEqual(t, tc.name+" mixed", profileOf(scalar), profileOf(mixed))
+	}
+	s := NewStackDist(16)
+	s.AccessBatch(wide)
+	if len(s.tree)-1 <= sdInitialAxis {
+		t.Errorf("wide stream never grew the time axis past %d", sdInitialAxis)
+	}
 }

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -255,6 +257,35 @@ func TestUnknownSceneErrors(t *testing.T) {
 	var sb strings.Builder
 	if err := e.Run(context.Background(), Config{Scale: 8, Scenes: []string{"bogus"}}, report.NewText(&sb)); err == nil {
 		t.Error("unknown scene accepted")
+	}
+}
+
+// TestDefaultTraversalForMatchesScenes pins the identity that lets the
+// experiments which only need a scene's traversal skip building it: the
+// static default equals the traversal each built scene reports.
+func TestDefaultTraversalForMatchesScenes(t *testing.T) {
+	for _, name := range scenes.Names() {
+		s, err := scenes.ByNameChecked(name, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := DefaultTraversalFor(name), s.DefaultTraversal(); got != want {
+			t.Errorf("%s: DefaultTraversalFor = %+v, scene reports %+v", name, got, want)
+		}
+	}
+}
+
+// TestTraversalOnlyExperimentsRejectUnknownScenes checks that the
+// experiments reading a scene's traversal without building it still
+// report an unknown name as *scenes.UnknownSceneError.
+func TestTraversalOnlyExperimentsRejectUnknownScenes(t *testing.T) {
+	for _, id := range []string{"fig5.5", "fig5.6", "fig6.2", "hilbert", "compress", "williams"} {
+		e, _ := Lookup(id)
+		err := e.Run(context.Background(), Config{Scale: 16, Scenes: []string{"bogus"}}, report.NewText(io.Discard))
+		var se *scenes.UnknownSceneError
+		if !errors.As(err, &se) || se.Name != "bogus" {
+			t.Errorf("%s: err = %v, want *scenes.UnknownSceneError for bogus", id, err)
+		}
 	}
 }
 

@@ -70,18 +70,15 @@ func runHilbert(ctx context.Context, cfg Config, rep report.Reporter) error {
 	if len(cfg.Scenes) > 0 {
 		name = cfg.Scenes[0]
 	}
-	s, err := buildScene(cfg, name)
-	if err != nil {
-		return err
-	}
+	order := DefaultTraversalFor(name).Order
 	rep.Note("--- %s, blocked 8x8, 128B lines, fully associative ---", name)
 	beginCurve(rep, "traversals", "traversal")
 	for _, tc := range []struct {
 		label string
 		trav  raster.Traversal
 	}{
-		{"scanline", raster.Traversal{Order: s.DefaultOrder}},
-		{"tiled 8x8", raster.Traversal{Order: s.DefaultOrder, TileW: 8, TileH: 8}},
+		{"scanline", raster.Traversal{Order: order}},
+		{"tiled 8x8", raster.Traversal{Order: order, TileW: 8, TileH: 8}},
 		{"hilbert", raster.Traversal{Order: raster.HilbertOrder}},
 	} {
 		tr, err := traceScene(ctx, cfg, name, blocked8(), tc.trav)
@@ -111,15 +108,11 @@ func runCompress(ctx context.Context, cfg Config, rep report.Reporter) error {
 		{Name: "MB/s @50Mf/s", Head: " %14s", Cell: " %14.0f"},
 	})
 	for _, name := range cfg.sceneList(scenes.Names()...) {
-		s, err := buildScene(cfg, name)
-		if err != nil {
-			return err
-		}
 		for _, spec := range []texture.LayoutSpec{
 			{Kind: texture.BlockedKind, BlockW: 8},
 			{Kind: texture.CompressedKind, BlockW: 8, Ratio: 4},
 		} {
-			tr, err := traceScene(ctx, cfg, name, spec, s.DefaultTraversal())
+			tr, err := traceScene(ctx, cfg, name, spec, DefaultTraversalFor(name))
 			if err != nil {
 				return err
 			}

@@ -67,11 +67,20 @@ func runFig54(ctx context.Context, cfg Config, rep report.Reporter) error {
 			if err != nil {
 				return err
 			}
+			// One pass feeds all five line sizes, each a fully-associative
+			// LRU cache answering the one 32KB point the figure reads.
+			caches := make([]*cache.Cache, len(fig54Lines))
+			sinks := make([]cache.Sink, len(fig54Lines))
+			for i, line := range fig54Lines {
+				caches[i] = cache.New(cache.Config{SizeBytes: cacheSize, LineBytes: line, Ways: 0})
+				sinks[i] = caches[i].Sink()
+			}
+			if err := cache.ReplayStreamConcurrent(ctx, tr, sinks...); err != nil {
+				return err
+			}
 			vals := []any{fmt.Sprintf("%dx%d (%s)", bw, bw, cache.FormatSize(lineForBlock(bw)))}
-			for _, line := range fig54Lines {
-				sd := cache.NewStackDist(line)
-				cache.ReplayStream(tr, sd)
-				vals = append(vals, 100*sd.MissRateAt(cacheSize))
+			for _, c := range caches {
+				vals = append(vals, 100*c.Stats().MissRate())
 			}
 			rep.Row(vals...)
 		}
@@ -97,20 +106,16 @@ func runFig55(ctx context.Context, cfg Config, rep report.Reporter) error {
 	}
 	rep.BeginTable("matched-line-block", cols)
 	for _, name := range cfg.sceneList(scenes.Names()...) {
-		s, err := buildScene(cfg, name)
-		if err != nil {
-			return err
-		}
 		vals := []any{name}
 		for _, bw := range blocks {
 			tr, err := traceScene(ctx, cfg, name,
-				texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: bw}, s.DefaultTraversal())
+				texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: bw}, DefaultTraversalFor(name))
 			if err != nil {
 				return err
 			}
-			sd := cache.NewStackDist(lineForBlock(bw))
-			cache.ReplayStream(tr, sd)
-			vals = append(vals, 100*sd.MissRateAt(cacheSize))
+			c := cache.New(cache.Config{SizeBytes: cacheSize, LineBytes: lineForBlock(bw), Ways: 0})
+			cache.ReplayStream(tr, c.Sink())
+			vals = append(vals, 100*c.Stats().MissRate())
 		}
 		rep.Row(vals...)
 	}
@@ -128,14 +133,10 @@ func runFig56(ctx context.Context, cfg Config, rep report.Reporter) error {
 	if len(cfg.Scenes) > 0 {
 		name = cfg.Scenes[0]
 	}
-	s, err := buildScene(cfg, name)
-	if err != nil {
-		return err
-	}
 	beginCurve(rep, "blocked-sizes", name+" line/block")
 	for _, bw := range []int{2, 4, 8, 16} {
 		tr, err := traceScene(ctx, cfg, name,
-			texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: bw}, s.DefaultTraversal())
+			texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: bw}, DefaultTraversalFor(name))
 		if err != nil {
 			return err
 		}

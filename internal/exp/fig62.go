@@ -31,14 +31,11 @@ func runFig62(ctx context.Context, cfg Config, rep report.Reporter) error {
 	if len(cfg.Scenes) > 0 {
 		name = cfg.Scenes[0]
 	}
-	s, err := buildScene(cfg, name)
-	if err != nil {
-		return err
-	}
+	order := DefaultTraversalFor(name).Order
 	rep.Note("--- %s, blocked 8x8, 128B lines, fully associative ---", name)
 	beginCurve(rep, "tile-sweep", "tile")
 	for _, tile := range fig62Tiles {
-		trav := raster.Traversal{Order: s.DefaultOrder, TileW: tile, TileH: tile}
+		trav := raster.Traversal{Order: order, TileW: tile, TileH: tile}
 		tr, err := traceScene(ctx, cfg, name, blocked8(), trav)
 		if err != nil {
 			return err

@@ -18,18 +18,6 @@ func init() {
 	})
 }
 
-// fig64Specs builds the layout variants compared in Figure 6.4 for a
-// given cache size (the 6D super-block is sized to the cache, per the
-// figure caption: "the largest block size ... less than or equal to the
-// cache size").
-func fig64Specs(cacheSize int) []texture.LayoutSpec {
-	return []texture.LayoutSpec{
-		{Kind: texture.BlockedKind, BlockW: 8},
-		{Kind: texture.PaddedBlockedKind, BlockW: 8, PadBlocks: 4},
-		{Kind: texture.SixDBlockedKind, BlockW: 8, SuperBytes: cacheSize},
-	}
-}
-
 // runFig64 reproduces Figure 6.4: direct-mapped and 2-way miss rates
 // with untiled versus tiled rasterization, and with plain, padded and 6D
 // blocked representations. Expected shapes: tiling alone sharply cuts
@@ -37,6 +25,10 @@ func fig64Specs(cacheSize int) []texture.LayoutSpec {
 // padding or 6D blocking before the conflicts subside.
 func runFig64(ctx context.Context, cfg Config, rep report.Reporter) error {
 	const lineBytes = 128
+	var twoWay []cache.Config
+	for _, size := range curveSizes() {
+		twoWay = append(twoWay, cache.Config{SizeBytes: size, LineBytes: lineBytes, Ways: 2})
+	}
 	for _, sc := range []struct {
 		name string
 		dir  raster.Order
@@ -51,62 +43,56 @@ func runFig64(ctx context.Context, cfg Config, rep report.Reporter) error {
 		}
 		rep.BeginTable("conflicts-"+sc.name, cols)
 
-		type variant struct {
+		// The untiled, blocked and padded variants each share one trace
+		// across the sweep, so one grouped walk answers all nine sizes.
+		for _, v := range []struct {
 			label string
 			tiled bool
 			spec  texture.LayoutSpec
-		}
-		variants := []variant{
+		}{
 			{"untiled blocked", false, texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: 8}},
 			{"tiled 8x8 blocked", true, texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: 8}},
 			{"tiled 8x8 padded(4)", true, texture.LayoutSpec{Kind: texture.PaddedBlockedKind, BlockW: 8, PadBlocks: 4}},
-			{"tiled 8x8 6D", true, texture.LayoutSpec{}}, // super-block set per size below
-		}
-		for _, v := range variants {
+		} {
 			trav := raster.Traversal{Order: sc.dir}
 			if v.tiled {
 				trav.TileW, trav.TileH = 8, 8
 			}
-			// The 6D super-block tracks the cache size, so its address
-			// stream changes per point; the other variants share one
-			// trace across the sweep.
-			sixD := v.label == "tiled 8x8 6D"
-			var tr cache.AddrStream
-			if !sixD {
-				var err error
-				if tr, err = traceScene(ctx, cfg, sc.name, v.spec, trav); err != nil {
-					return err
-				}
+			tr, err := traceScene(ctx, cfg, sc.name, v.spec, trav)
+			if err != nil {
+				return err
 			}
-			vals := []any{v.label + " 2-way"}
-			for _, size := range curveSizes() {
-				if sixD {
-					spec := texture.LayoutSpec{Kind: texture.SixDBlockedKind, BlockW: 8, SuperBytes: size}
-					var err error
-					if tr, err = traceScene(ctx, cfg, sc.name, spec, trav); err != nil {
-						return err
-					}
-				}
-				c := cache.New(cache.Config{SizeBytes: size, LineBytes: lineBytes, Ways: 2})
-				cache.ReplayStream(tr, c.Sink())
-				vals = append(vals, 100*c.Stats().MissRate())
+			rates, err := cache.MissRatesGroupedStream(ctx, tr, twoWay)
+			if err != nil {
+				return err
 			}
-			rep.Row(vals...)
+			curveRow(rep, v.label+" 2-way", rates)
 		}
 
-		// Fully-associative floor for reference (conflict-free).
+		// The 6D super-block tracks the cache size, so its address stream
+		// changes per point.
 		trav := raster.Traversal{Order: sc.dir, TileW: 8, TileH: 8}
+		vals := []any{"tiled 8x8 6D 2-way"}
+		for _, c := range twoWay {
+			spec := texture.LayoutSpec{Kind: texture.SixDBlockedKind, BlockW: 8, SuperBytes: c.SizeBytes}
+			tr, err := traceScene(ctx, cfg, sc.name, spec, trav)
+			if err != nil {
+				return err
+			}
+			sim := cache.New(c)
+			cache.ReplayStream(tr, sim.Sink())
+			vals = append(vals, 100*sim.Stats().MissRate())
+		}
+		rep.Row(vals...)
+
+		// Fully-associative floor for reference (conflict-free).
 		tr, err := traceScene(ctx, cfg, sc.name, texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: 8}, trav)
 		if err != nil {
 			return err
 		}
 		sd := cache.NewStackDist(lineBytes)
 		cache.ReplayStream(tr, sd)
-		vals := []any{"tiled 8x8 blocked FA floor"}
-		for _, r := range sd.Curve(curveSizes()) {
-			vals = append(vals, 100*r)
-		}
-		rep.Row(vals...)
+		curveRow(rep, "tiled 8x8 blocked FA floor", sd.Curve(curveSizes()))
 		rep.Note("")
 	}
 	rep.Note("%s", "paper: tiling cuts town's block conflicts by itself; flight's 1024x1024")

@@ -171,9 +171,19 @@ func runInterframe(ctx context.Context, cfg Config, rep report.Reporter) error {
 		}); err != nil {
 			return err
 		}
-		sd := cache.NewStackDist(128)
-		cache.ReplayStream(tr0, sd)
-		footprint := sd.DistinctLines() * 128
+		// The frame's footprint: the distinct 128B lines it touches.
+		lines := map[uint64]struct{}{}
+		prev := ^uint64(0)
+		cur := tr0.Cursor()
+		for block := cur.Next(); block != nil; block = cur.Next() {
+			for _, a := range block {
+				if la := a / 128; la != prev {
+					prev = la
+					lines[la] = struct{}{}
+				}
+			}
+		}
+		footprint := len(lines) * 128
 		vals := []any{name, cache.FormatSize(footprint)}
 		for _, sz := range sizes {
 			c := cache.New(cache.Config{SizeBytes: sz, LineBytes: 128, Ways: 2})

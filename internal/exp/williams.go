@@ -43,15 +43,11 @@ func runWilliams(ctx context.Context, cfg Config, rep report.Reporter) error {
 		{Name: "FA miss%", Head: " %12s", Cell: " %11.2f%%"},
 	})
 	for _, name := range cfg.sceneList("goblet", "guitar") {
-		s, err := buildScene(cfg, name)
-		if err != nil {
-			return err
-		}
 		for _, spec := range []texture.LayoutSpec{
 			{Kind: texture.NonBlockedKind},
 			{Kind: texture.WilliamsKind},
 		} {
-			tr, err := traceScene(ctx, cfg, name, spec, s.DefaultTraversal())
+			tr, err := traceScene(ctx, cfg, name, spec, DefaultTraversalFor(name))
 			if err != nil {
 				return err
 			}
