@@ -65,8 +65,8 @@ golden:
 # timing lines ("--- <id> done in ..." and "=== N experiments in ...")
 # stripped. The stack-distance profiler compacts its time axis at
 # every scale, but scale 1 grows its line index and axis the furthest,
-# so every replay-kernel change must pass it. It takes about 140s wall
-# and 260s CPU on a 2-vCPU host, so it is not a ci leg.
+# so every replay-kernel change must pass it. It takes about 100s wall
+# and 185s CPU on a 2-vCPU host, so it is not a ci leg.
 golden-scale1:
 	@set -e; \
 	tmp=$$(mktemp -d) ; \
@@ -85,7 +85,7 @@ golden-scale1:
 # packages: raise a floor when coverage improves, never lower it.
 cover:
 	@set -e; \
-	for pf in ./internal/cache:96.0 ./internal/arch:90.0 ./internal/texture:90.0 ./internal/trace:90.0 ./internal/cas:90.0 ./internal/pipeline:85.0 ./internal/parallel:85.0 ./internal/cost:95.0 ./internal/shard:85.0 ./internal/engine:85.0 ; do \
+	for pf in ./internal/cache:96.0 ./internal/arch:90.0 ./internal/texture:90.0 ./internal/trace:90.0 ./internal/cas:90.0 ./internal/pipeline:85.0 ./internal/parallel:85.0 ./internal/cost:95.0 ./internal/shard:85.0 ./internal/engine:85.0 ./internal/raster:98.3 ./internal/scenes:94.5 ; do \
 		pkg=$${pf%:*} ; floor=$${pf#*:} ; \
 		pct=$$(go test -count=1 -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p') ; \
 		echo "coverage $$pkg: $$pct% (floor $$floor%)" ; \
@@ -98,7 +98,8 @@ cover:
 # committed together with its fix.
 FUZZ_TARGETS = ./internal/cas:FuzzDecode ./internal/trace:FuzzReadFile \
 	./internal/cache:FuzzSimulateConfigsGrouped ./internal/cache:FuzzAccessBatch \
-	./internal/cache:FuzzStackDist ./internal/texture:FuzzLayoutAddressing ./internal/gl:FuzzReplay
+	./internal/cache:FuzzStackDist ./internal/texture:FuzzLayoutAddressing ./internal/gl:FuzzReplay \
+	./internal/raster:FuzzHilbertWalk
 fuzz-smoke:
 	@set -e; \
 	for pt in $(FUZZ_TARGETS) ; do \

@@ -151,12 +151,14 @@ func (tc *TraceCache) effectiveRenderWorkers() int {
 
 // renderTrace performs the actual scene render for one cache slot, on
 // the tile-parallel path when workers allows it. The trace is
-// bit-identical either way.
+// bit-identical either way. The scene is the shared read-only one for
+// (scene, scale), so renders of its other layouts and traversals skip
+// rebuilding its textures and geometry.
 func renderTrace(ctx context.Context, ck traceCacheKey, workers int) (*cache.Trace, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := scenes.ByNameChecked(ck.key.Scene, ck.scale)
+	s, err := scenes.Shared(ctx, ck.key.Scene, ck.scale)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

@@ -40,7 +40,7 @@ func characterize(ctx context.Context, cfg Config, name string) (*scenes.Scene, 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	s, err := buildScene(cfg, name)
+	s, err := buildScene(ctx, cfg, name)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -137,9 +137,11 @@ func IDs() []string {
 	return ids
 }
 
-// buildScene constructs a benchmark scene at the configured scale.
-func buildScene(cfg Config, name string) (*scenes.Scene, error) {
-	return scenes.ByNameChecked(name, cfg.scale())
+// buildScene returns the benchmark scene at the configured scale. It is
+// the shared read-only scene for (name, scale): experiments only render
+// it, and never modify it.
+func buildScene(ctx context.Context, cfg Config, name string) (*scenes.Scene, error) {
+	return scenes.Shared(ctx, name, cfg.scale())
 }
 
 // traceScene returns the texel address stream of one rendered frame,
@@ -153,7 +155,7 @@ func traceScene(ctx context.Context, cfg Config, name string, layout texture.Lay
 	if cfg.Traces != nil {
 		return cfg.Traces.SceneTrace(ctx, TraceKey{Scene: name, Layout: layout, Traversal: trav}, cfg.scale())
 	}
-	s, err := buildScene(cfg, name)
+	s, err := buildScene(ctx, cfg, name)
 	if err != nil {
 		return nil, err
 	}

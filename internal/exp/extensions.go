@@ -138,7 +138,7 @@ func runParallel(ctx context.Context, cfg Config, rep report.Reporter) error {
 	if len(cfg.Scenes) > 0 {
 		name = cfg.Scenes[0]
 	}
-	s, err := buildScene(cfg, name)
+	s, err := buildScene(ctx, cfg, name)
 	if err != nil {
 		return err
 	}

@@ -53,7 +53,7 @@ func runDRAM(ctx context.Context, cfg Config, rep report.Reporter) error {
 		{Name: "eff MB/s", Head: " %12s", Cell: " %12.0f"},
 	})
 	for _, name := range cfg.sceneList(scenes.Names()...) {
-		s, err := buildScene(cfg, name)
+		s, err := buildScene(ctx, cfg, name)
 		if err != nil {
 			return err
 		}
@@ -150,7 +150,7 @@ func runInterframe(ctx context.Context, cfg Config, rep report.Reporter) error {
 	cols = append(cols, report.Column{Name: "    (frame1% -> frame2%)", Head: "%s"})
 	rep.BeginTable("interframe", cols)
 	for _, name := range cfg.sceneList(scenes.Names()...) {
-		s, err := buildScene(cfg, name)
+		s, err := buildScene(ctx, cfg, name)
 		if err != nil {
 			return err
 		}

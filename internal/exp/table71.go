@@ -134,7 +134,7 @@ func runBanks(ctx context.Context, cfg Config, rep report.Reporter) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s, err := buildScene(cfg, name)
+		s, err := buildScene(ctx, cfg, name)
 		if err != nil {
 			return err
 		}

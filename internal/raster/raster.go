@@ -308,7 +308,7 @@ func Rasterize(v0, v1, v2 Vert, width, height int, texW, texH int, trav Traversa
 	if trav.Order == HilbertOrder {
 		// Peano-Hilbert path over the bounding box (footnote 1); the
 		// curve subsumes tiling.
-		scanHilbert(x0, y0, x1, y1, func(px, py int) {
+		scanHilbert(Rect{X0: x0, Y0: y0, X1: x1, Y1: y1}, func(px, py int) {
 			if w0, w1, w2, in := t.inside(float64(px)+0.5, float64(py)+0.5); in {
 				t.shade(px, py, w0, w1, w2, tw, th, &frag)
 				emit(&frag)

@@ -125,10 +125,9 @@ func RasterizeRect(v0, v1, v2 Vert, width, height int, texW, texH int, trav Trav
 	var frag Fragment
 
 	if trav.Order == HilbertOrder {
-		// The serial scan walks the full curve over the bounding box's
-		// enclosing square; the curve distance is the rank. Walking the
-		// whole curve per clip rect is redundant across tiles but keeps
-		// the rank identical to the serial visit index by construction.
+		// The serial scan walks the curve over the bounding box's
+		// enclosing square; the curve distance is the rank, so any clip
+		// rect's stream is the serial one's subsequence in rank order.
 		scanHilbertRanked(bbox, clip, func(px, py int, d uint64) {
 			if w0, w1, w2, in := t.inside(float64(px)+0.5, float64(py)+0.5); in {
 				t.shade(px, py, w0, w1, w2, tw, th, &frag)
@@ -229,30 +228,6 @@ func RasterizeRect(v0, v1, v2 Vert, width, height int, texW, texH int, trav Trav
 		for tx := tx0; tx <= tx1; tx++ {
 			for ty := ty0; ty <= ty1; ty++ {
 				scanTileRanked(tx, ty)
-			}
-		}
-	}
-}
-
-// scanHilbertRanked visits the pixels of bbox that fall inside clip in
-// Peano-Hilbert order, passing each pixel's distance along the curve
-// (over the bounding box's enclosing power-of-two square) as its rank.
-func scanHilbertRanked(bbox, clip Rect, visit func(px, py int, d uint64)) {
-	w := bbox.X1 - bbox.X0 + 1
-	h := bbox.Y1 - bbox.Y0 + 1
-	if w <= 0 || h <= 0 {
-		return
-	}
-	side := 1
-	for side < w || side < h {
-		side <<= 1
-	}
-	for d := 0; d < side*side; d++ {
-		x, y := hilbertD2XY(side, d)
-		if x < w && y < h {
-			px, py := bbox.X0+x, bbox.Y0+y
-			if clip.Contains(px, py) {
-				visit(px, py, uint64(d))
 			}
 		}
 	}

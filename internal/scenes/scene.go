@@ -236,6 +236,8 @@ func (e *UnknownSceneError) Error() string {
 
 // ByNameChecked builds the named scene at the given scale, returning an
 // *UnknownSceneError instead of nil for names outside the benchmark set.
+// Every call builds a fresh scene that the caller owns and may modify;
+// Shared hands out one read-only scene per (name, scale) instead.
 func ByNameChecked(name string, scale int) (*Scene, error) {
 	if b, ok := Builders()[name]; ok {
 		return b(scale), nil

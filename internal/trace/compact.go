@@ -15,6 +15,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"texcache/internal/cache"
@@ -50,21 +51,18 @@ func CompactFromAddrs(addrs []uint64) *Compact {
 	if reg != nil {
 		start = time.Now()
 	}
-	// A delta of ±127 fits one varint byte and texture locality keeps
-	// most deltas that small; reserving 2 bytes/address avoids regrowth
-	// on all but adversarial streams without over-committing.
-	buf := make([]byte, 0, 2*len(addrs))
-	var scratch [binary.MaxVarintLen64]byte
+	// A first pass sums the varint lengths, so the buffer is allocated
+	// once at its final size: the Compact retains exactly SizeBytes().
+	size := 0
 	var prev uint64
 	for i, a := range addrs {
-		if i%blockLen == 0 {
-			// Sync point: absolute address, fresh delta chain.
-			k := binary.PutUvarint(scratch[:], a)
-			buf = append(buf, scratch[:k]...)
-		} else {
-			k := binary.PutUvarint(scratch[:], zigzag(int64(a)-int64(prev)))
-			buf = append(buf, scratch[:k]...)
-		}
+		size += uvarintLen(varintCode(i, a, prev))
+		prev = a
+	}
+	buf := make([]byte, 0, size)
+	prev = 0
+	for i, a := range addrs {
+		buf = binary.AppendUvarint(buf, varintCode(i, a, prev))
 		prev = a
 	}
 	c := &Compact{data: buf, count: len(addrs)}
@@ -173,6 +171,19 @@ func compactFromBytes(data []byte) (*Compact, error) {
 	}
 	return &Compact{data: data, count: count}, nil
 }
+
+// varintCode is the value address i is encoded as: the absolute address
+// at a sync point, which starts a fresh delta chain, and the zigzag delta
+// from the previous address elsewhere.
+func varintCode(i int, a, prev uint64) uint64 {
+	if i%blockLen == 0 {
+		return a
+	}
+	return zigzag(int64(a) - int64(prev))
+}
+
+// uvarintLen is the length of u's unsigned varint encoding.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 

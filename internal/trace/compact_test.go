@@ -2,12 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"path/filepath"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"texcache/internal/cache"
 	"texcache/internal/obs"
+	"texcache/internal/raster"
+	"texcache/internal/scenes"
+	"texcache/internal/texture"
 )
 
 // texturedAddrs builds an address stream with the locality shape of a
@@ -63,6 +67,50 @@ func TestCompactFromTrace(t *testing.T) {
 		if got.Addrs[i] != tr.Addrs[i] {
 			t.Fatalf("address %d: %d != %d", i, got.Addrs[i], tr.Addrs[i])
 		}
+	}
+}
+
+// TestCompactSizedToItsBytes encodes a real scale-4 trace and checks that
+// the Compact retains no capacity beyond its encoded bytes (a slack of
+// zero bytes: the encoder sizes its buffer exactly), so a budget that
+// counts SizeBytes() counts what the Compact holds; and that the encoding
+// still round-trips through Cursor and through WriteFile and ReadFile.
+func TestCompactSizedToItsBytes(t *testing.T) {
+	const slack = 0
+	s, err := scenes.ByNameChecked("goblet", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := s.Trace(texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: 8}, s.DefaultTraversal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := CompactFromTrace(tr)
+	if extra := cap(c.data) - c.SizeBytes(); extra > slack {
+		t.Fatalf("%d-address trace: Compact retains %d bytes for %d encoded (slack %d)",
+			c.Len(), cap(c.data), c.SizeBytes(), slack)
+	}
+
+	var got []uint64
+	cur := c.Cursor()
+	for b := cur.Next(); b != nil; b = cur.Next() {
+		got = append(got, b...)
+	}
+	if !slices.Equal(got, tr.Addrs) {
+		t.Fatal("Cursor does not round-trip the trace")
+	}
+
+	path := filepath.Join(t.TempDir(), "goblet.trace")
+	k := KeyFor("goblet", 4, texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: 8}, raster.Traversal{Order: raster.RowMajor})
+	if err := WriteFile(path, k, c); err != nil {
+		t.Fatal(err)
+	}
+	key, back, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != k.canonical() || back.SizeBytes() != c.SizeBytes() || !slices.Equal(back.Decode().Addrs, tr.Addrs) {
+		t.Fatal("WriteFile/ReadFile does not round-trip the trace")
 	}
 }
 
