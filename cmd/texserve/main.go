@@ -16,9 +16,10 @@
 // stream of each request is memoized by its canonical content key, so a
 // repeated request skips rendering AND replay and is served the stored
 // bytes (byte-identical to a fresh run). The cache is shared across
-// tenants — results are pure functions of the request — and -result-dir
-// persists finished streams across restarts. Grid requests bypass it:
-// their row set depends on pruning frontier state.
+// tenants — results are pure functions of the request, grids included —
+// and -result-dir persists finished streams across restarts. Stored
+// streams are keyed by the build of texserve, so a store filled by
+// another build only misses.
 //
 // Usage:
 //

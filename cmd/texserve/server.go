@@ -168,10 +168,10 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// From here the stream is exactly texsim -json: the same NDJSON
 	// serializer over the same result channel, fronted by the shared
-	// result cache (warm repeats are served stored bytes without
-	// touching the engine; grid requests always simulate). Per-result
-	// errors append a typed trailer line (the row stream for successful
-	// results is untouched, preserving byte-identity).
+	// result cache (warm repeats of any request kind are served stored
+	// bytes without touching the engine). Per-result errors append a
+	// typed trailer line (the row stream for successful results is
+	// untouched, preserving byte-identity).
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	cw := &trackingWriter{w: w}

@@ -261,11 +261,9 @@ func TestHandlerResultCacheWarm(t *testing.T) {
 	}
 }
 
-// TestHandlerGridBypassesResultCache documents the bypass: grid rows
-// depend on pruning frontier state, so grid requests never enter the
-// result cache — but repeats are still byte-identical because the
-// exhaustive replay is deterministic.
-func TestHandlerGridBypassesResultCache(t *testing.T) {
+// TestHandlerGridResultCacheHit pins grids on the result cache: a
+// repeated grid request is served the stored bytes without simulating.
+func TestHandlerGridResultCacheHit(t *testing.T) {
 	s, ts := testServer(t, serverConfig{Workers: 1})
 	body := `{"scale":8,"grid":{"scenes":["town"],"configs":[{"size_bytes":2048,"line_bytes":64,"ways":1}]}}`
 	a := postBody(t, ts.URL, body)
@@ -273,9 +271,9 @@ func TestHandlerGridBypassesResultCache(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("repeated grid responses differ")
 	}
-	if s.results.Produced() != 0 || s.results.Hits() != 0 || s.results.Misses() != 0 {
-		t.Errorf("grid request touched the result cache: %d/%d/%d",
-			s.results.Produced(), s.results.Hits(), s.results.Misses())
+	if s.results.Produced() != 1 || s.results.Hits() != 1 {
+		t.Errorf("repeated grid request: produced %d hits %d, want 1/1",
+			s.results.Produced(), s.results.Hits())
 	}
 }
 

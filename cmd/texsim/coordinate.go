@@ -94,12 +94,6 @@ func coordinate(ctx context.Context, f flags, req texcache.ExperimentRequest, tr
 		if f.renderW != 0 {
 			args = append(args, "-render-workers", strconv.Itoa(f.renderW))
 		}
-		if f.prune {
-			args = append(args, "-prune")
-			if f.frontier != "" {
-				args = append(args, "-frontier", f.frontier)
-			}
-		}
 		cmd := exec.CommandContext(wctx, exe, args...)
 		dieWithParent(cmd)
 		cmd.Stderr = os.Stderr

@@ -41,18 +41,16 @@
 // stdin) naming scene/scale/layout/traversal/config axes; output is
 // always NDJSON — one row per (trace, config) unit with its classified
 // misses and hardware cost, then the Pareto frontier of miss rate
-// against cost ("exp":"pareto" lines). -coordinate n fans the grid out
-// over n worker processes sharing one trace store and merges their
-// streams byte-identically to the single-process run; -shard i/n runs
-// one worker's deterministic slice alone, emitting rows only. -prune
-// skips design points provably dominated on the measured plane (the
-// frontier never changes), and -frontier FILE persists measured points
-// so later runs prune against them.
+// against cost ("exp":"pareto" lines). Each trace is replayed once:
+// every configuration of a line size comes from one grouped walk.
+// -coordinate n fans the grid out over n worker processes sharing one
+// trace store and merges their streams byte-identically to the
+// single-process run; -shard i/n runs one worker's deterministic slice
+// alone, emitting rows only.
 //
 //	texsim -grid grid.json                      # whole grid, one process
 //	texsim -grid grid.json -coordinate 4 -trace-dir .traces
 //	texsim -grid grid.json -shard 0/4 -trace-dir .traces
-//	texsim -grid grid.json -prune -frontier frontier.ndjson
 //
 // -trace-dir keeps every rendered texel trace in a content-addressed,
 // checksummed store under the given directory (created if needed): a
@@ -62,13 +60,13 @@
 // simply regenerated; output is byte-identical with or without the
 // store.
 //
-// -result-dir adds the tier above that for -json runs: the finished
-// NDJSON stream itself is stored content-addressed (keyed by the
-// canonical request plus the API, trace-codec and result-format
-// versions), so repeating the same request replays stored bytes in
-// microseconds instead of re-simulating — byte-identical output either
-// way. Grid requests always simulate: with -prune their row set depends
-// on the accumulated frontier, so they bypass the result cache.
+// -result-dir adds the tier above that for -json and -grid runs: the
+// finished NDJSON stream itself is stored content-addressed (keyed by
+// the canonical request, the API, trace-codec and result-format
+// versions, and the build of texsim), so repeating the same request
+// replays stored bytes in microseconds instead of re-simulating —
+// byte-identical output either way. A grid's frontier is recomputed
+// from the rows, stored or fresh.
 //
 //	texsim -exp all -json -result-dir .results  # warm repeats are instant
 //
@@ -126,8 +124,6 @@ type flags struct {
 	gridFile    string
 	shard       string
 	coordinate  int
-	prune       bool
-	frontier    string
 }
 
 // parseShard parses the -shard i/n worker-slice syntax. Range errors
@@ -160,18 +156,11 @@ func buildRequest(f flags, stdin io.Reader) (texcache.ExperimentRequest, error) 
 			return texcache.ExperimentRequest{}, errors.New("-shard needs a -grid to slice")
 		case f.coordinate != 0:
 			return texcache.ExperimentRequest{}, errors.New("-coordinate needs a -grid to fan out")
-		case f.prune:
-			return texcache.ExperimentRequest{}, errors.New("-prune applies only to -grid runs")
-		case f.frontier != "":
-			return texcache.ExperimentRequest{}, errors.New("-frontier applies only to -grid runs")
 		}
 	}
 	if f.gridFile != "" {
 		if f.id != "" || f.arch != "" || f.requestFile != "" || f.scenes != "" {
 			return texcache.ExperimentRequest{}, errors.New("-grid replaces -exp/-scenes/-arch/-request; the grid file names its own axes")
-		}
-		if f.frontier != "" && !f.prune {
-			return texcache.ExperimentRequest{}, errors.New("-frontier requires -prune")
 		}
 		if f.coordinate < 0 {
 			return texcache.ExperimentRequest{}, fmt.Errorf("-coordinate %d: worker count must be >= 1", f.coordinate)
@@ -274,10 +263,8 @@ func run() int {
 	flag.StringVar(&f.gridFile, "grid", "", "run a design-space grid from this JSON file ('-' = stdin): axes scenes/scales/layouts/traversals/configs, output is NDJSON rows plus a Pareto frontier")
 	flag.StringVar(&f.shard, "shard", "", "run only this worker slice of the -grid, as i/n (e.g. 2/8); rows only, no frontier")
 	flag.IntVar(&f.coordinate, "coordinate", 0, "spawn this many texsim worker processes over the -grid, sharing one trace store, and merge their streams into the canonical order")
-	flag.BoolVar(&f.prune, "prune", false, "skip -grid design points provably dominated on the miss-rate/cost frontier (the reported frontier is identical)")
-	flag.StringVar(&f.frontier, "frontier", "", "persist measured frontier points in this NDJSON file across -prune runs (requires -prune)")
 	traceDir := flag.String("trace-dir", "", "persist rendered traces in this directory and reuse them across runs (output is identical)")
-	resultDir := flag.String("result-dir", "", "persist finished -json result streams in this directory and serve repeat runs from it without re-simulating (output is byte-identical; grid requests always simulate)")
+	resultDir := flag.String("result-dir", "", "persist finished -json and -grid result streams in this directory and serve repeat runs from it without re-simulating (output is byte-identical)")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -285,7 +272,7 @@ func run() int {
 	// Grid-only flags without -grid are not "no work": fall through so
 	// buildRequest can say which flag needs the -grid.
 	noWork := f.id == "" && f.requestFile == "" && f.arch == "" && f.gridFile == "" &&
-		f.shard == "" && f.coordinate == 0 && !f.prune && f.frontier == ""
+		f.shard == "" && f.coordinate == 0
 	if *list || noWork {
 		fmt.Println("experiments:")
 		for _, eid := range texcache.ExperimentIDs() {
@@ -364,16 +351,10 @@ func run() int {
 		opts = append(opts, texcache.WithTraceDir(*traceDir))
 	}
 	if *resultDir != "" {
-		// Consulted only on the NDJSON-serving path (-json, non-grid):
-		// the result cache stores finished NDJSON streams, so text tables
-		// and frontier-dependent grid runs always simulate.
+		// Consulted only on the NDJSON path (-json and -grid): the result
+		// cache stores finished NDJSON streams, so text tables always
+		// simulate.
 		opts = append(opts, texcache.WithResultDir(*resultDir))
-	}
-	if f.prune {
-		opts = append(opts, texcache.WithPruning(true))
-		if f.frontier != "" {
-			opts = append(opts, texcache.WithFrontierFile(f.frontier))
-		}
 	}
 	if *progress {
 		opts = append(opts, texcache.WithProgress(func(p texcache.ExperimentProgress) {
@@ -387,16 +368,30 @@ func run() int {
 	}
 
 	start := time.Now()
-	if req.Grid == nil && *jsonOut {
+	if req.Grid != nil || *jsonOut {
 		// Pure NDJSON on stdout, the exact bytes texserve streams for
 		// this request, served through the result cache when -result-dir
 		// is set: a warm repeat writes the stored stream without
-		// simulating. Failures go to stderr only.
-		firstErr := texcache.RunNDJSON(ctx, req, os.Stdout, func(r texcache.ExperimentResult) {
+		// simulating. Failures go to stderr only. A full (unsharded)
+		// grid run owns the whole view, so it tees the stream through a
+		// collector and appends the Pareto frontier; a -shard worker
+		// emits rows only — the coordinator appends the frontier after
+		// its merge, from the same collector logic, which keeps the
+		// bytes identical.
+		var out io.Writer = os.Stdout
+		var col *texcache.GridCollector
+		if req.Grid != nil && req.Shard == nil {
+			col = texcache.NewGridCollector()
+			out = io.MultiWriter(os.Stdout, col)
+		}
+		firstErr := texcache.RunNDJSON(ctx, req, out, func(r texcache.ExperimentResult) {
 			if r.Err != nil {
 				fmt.Fprintf(os.Stderr, "texsim: %s: %v\n", r.ID, r.Err)
 			}
 		}, opts...)
+		if col != nil && firstErr == nil {
+			firstErr = col.WriteFrontier(os.Stdout)
+		}
 		fmt.Fprintf(os.Stderr, "texsim: summary: %s\n", reg.SummaryLine())
 		if firstErr != nil {
 			return fail(firstErr)
@@ -410,32 +405,6 @@ func run() int {
 	}
 
 	var firstErr error
-	if req.Grid != nil {
-		// Grid output is always NDJSON. A full (unsharded) run owns the
-		// whole view, so it tees the stream through a collector and
-		// appends the Pareto frontier; a -shard worker emits rows only —
-		// the coordinator appends the frontier after its merge, from the
-		// same collector logic, which keeps the bytes identical.
-		var out io.Writer = os.Stdout
-		var col *texcache.GridCollector
-		if req.Shard == nil {
-			col = texcache.NewGridCollector()
-			out = io.MultiWriter(os.Stdout, col)
-		}
-		firstErr = texcache.WriteResultsNDJSON(out, results, func(r texcache.ExperimentResult) {
-			if r.Err != nil {
-				fmt.Fprintf(os.Stderr, "texsim: %s: %v\n", r.ID, r.Err)
-			}
-		})
-		if col != nil && firstErr == nil {
-			firstErr = col.WriteFrontier(os.Stdout)
-		}
-		fmt.Fprintf(os.Stderr, "texsim: summary: %s\n", reg.SummaryLine())
-		if firstErr != nil {
-			return fail(firstErr)
-		}
-		return 0
-	}
 	// Results arrive in completion order; buffer and print in request
 	// order so the output is deterministic.
 	done := 0

@@ -65,10 +65,10 @@ func TestBuildRequest(t *testing.T) {
 	}
 }
 
-// TestBuildRequestGrid pins the -grid/-shard/-coordinate/-prune flag
-// surface: shape errors (malformed -shard syntax, flags without a grid)
-// fail locally, range errors (i >= n, n < 1) flow through the same
-// shared validator texserve uses, and both exit 2.
+// TestBuildRequestGrid pins the -grid/-shard/-coordinate flag surface:
+// shape errors (malformed -shard syntax, flags without a grid) fail
+// locally, range errors (i >= n, n < 1) flow through the same shared
+// validator texserve uses, and both exit 2.
 func TestBuildRequestGrid(t *testing.T) {
 	const grid = `{"scenes":["town"],"configs":[{"size_bytes":2048,"ways":1,"line_bytes":64}]}`
 	cases := []struct {
@@ -81,7 +81,6 @@ func TestBuildRequestGrid(t *testing.T) {
 		{name: "worker slice", f: flags{gridFile: "-", shard: "1/4", scale: 2}, stdin: grid},
 		{name: "last slice", f: flags{gridFile: "-", shard: "3/4", scale: 2}, stdin: grid},
 		{name: "coordinate", f: flags{gridFile: "-", coordinate: 2, scale: 2}, stdin: grid},
-		{name: "prune with frontier", f: flags{gridFile: "-", prune: true, frontier: "f.ndjson", scale: 2}, stdin: grid},
 		{name: "shard missing slash", f: flags{gridFile: "-", shard: "2", scale: 2}, stdin: grid, wantErr: "want i/n"},
 		{name: "shard non-numeric", f: flags{gridFile: "-", shard: "a/b", scale: 2}, stdin: grid, wantErr: "bad index"},
 		{name: "shard non-numeric count", f: flags{gridFile: "-", shard: "0/b", scale: 2}, stdin: grid, wantErr: "bad count"},
@@ -92,9 +91,6 @@ func TestBuildRequestGrid(t *testing.T) {
 		{name: "shard plus coordinate", f: flags{gridFile: "-", shard: "0/2", coordinate: 2, scale: 2}, stdin: grid, wantErr: "mutually exclusive"},
 		{name: "shard without grid", f: flags{id: "all", shard: "0/2", scale: 2}, wantErr: "-shard needs a -grid"},
 		{name: "coordinate without grid", f: flags{id: "all", coordinate: 2, scale: 2}, wantErr: "-coordinate needs a -grid"},
-		{name: "prune without grid", f: flags{id: "all", prune: true, scale: 2}, wantErr: "-prune applies only"},
-		{name: "frontier without grid", f: flags{id: "all", frontier: "f.ndjson", scale: 2}, wantErr: "-frontier applies only"},
-		{name: "frontier without prune", f: flags{gridFile: "-", frontier: "f.ndjson", scale: 2}, stdin: grid, wantErr: "-frontier requires -prune"},
 		{name: "negative coordinate", f: flags{gridFile: "-", coordinate: -1, scale: 2}, stdin: grid, wantErr: "-coordinate"},
 		{name: "grid plus exp", f: flags{gridFile: "-", id: "all", scale: 2}, stdin: grid, wantErr: "-grid replaces"},
 		{name: "grid plus arch", f: flags{gridFile: "-", arch: "both", scale: 2}, stdin: grid, wantErr: "-grid replaces"},

@@ -5,10 +5,9 @@
 // deliberately simple — storage bits plus comparator bits, the classic
 // register-bit-equivalent (RBE) style of cache cost models — but it is
 // deterministic and strictly monotone in both capacity and
-// associativity, which is what the Pareto pruner in internal/shard
-// relies on: a bigger or more associative cache is always costlier, so
-// a cheap configuration that already sits at the compulsory miss floor
-// provably dominates every costlier point at the same line size.
+// associativity: a bigger or more associative cache is always costlier,
+// so the grid's miss-rate/cost frontier (internal/shard) trades the two
+// axes against each other rather than one hiding the other.
 package cost
 
 import (

@@ -53,9 +53,9 @@ func TestConfigCostPinned(t *testing.T) {
 	}
 }
 
-// TestConfigCostMonotone checks the property the Pareto pruner depends
-// on: at a fixed line size, cost strictly increases with capacity and
-// with associativity.
+// TestConfigCostMonotone checks the model's monotonicity: at a fixed
+// line size, cost strictly increases with capacity and with
+// associativity.
 func TestConfigCostMonotone(t *testing.T) {
 	for _, line := range []int{64, 128} {
 		for _, ways := range []int{1, 2, 4} {

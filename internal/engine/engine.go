@@ -78,16 +78,6 @@ type Options struct {
 	// renders) across many engines. RenderWorkers and TraceDir are
 	// ignored when it is set.
 	Traces exp.TraceProvider
-	// Prune enables Pareto-dominance pruning on grid requests: design
-	// points provably dominated by an already-measured point (see
-	// internal/shard) are skipped instead of replayed. Lossless for the
-	// reported frontier; the skipped rows are simply absent.
-	Prune bool
-	// FrontierFile, when non-empty and Prune is set, persists measured
-	// frontier points to this append-only NDJSON file and preloads any
-	// points already in it, so re-runs (and a coordinator's workers
-	// sharing the path) skip points earlier measurements dominate.
-	FrontierFile string
 	// ResultCache, when non-nil, is the finished-stream memoization tier
 	// RunRequestNDJSON consults before running anything — the hook
 	// through which a long-running server serves repeated requests as
@@ -118,16 +108,8 @@ func WithProgress(fn func(Progress)) Option { return func(o *Options) { o.Progre
 // engine's trace cache; empty disables the store.
 func WithTraceDir(dir string) Option { return func(o *Options) { o.TraceDir = dir } }
 
-// WithPruning toggles Pareto-dominance pruning for grid requests.
-func WithPruning(on bool) Option { return func(o *Options) { o.Prune = on } }
-
-// WithFrontierFile persists (and preloads) measured frontier points in
-// the given append-only NDJSON file during pruned grid runs; empty
-// disables persistence.
-func WithFrontierFile(path string) Option { return func(o *Options) { o.FrontierFile = path } }
-
 // WithResultCache installs a shared result cache on the engine: every
-// cacheable RunRequestNDJSON call checks it before simulating, so
+// RunRequestNDJSON call checks it before simulating, so
 // repeated requests are served as stored bytes and identical concurrent
 // requests coalesce onto one run.
 func WithResultCache(rc *ResultCache) Option {

@@ -57,20 +57,10 @@ func (e *Engine) runGrid(ctx context.Context, req api.ExperimentRequest) (<-chan
 	if err != nil {
 		return nil, err
 	}
-	var pruner *shard.Pruner
-	if e.opts.Prune {
-		pruner = shard.NewPruner()
-		if e.opts.FrontierFile != "" {
-			if err := pruner.AttachFile(e.opts.FrontierFile); err != nil {
-				return nil, err
-			}
-		}
-	}
 
 	reg := obs.Default().Sub("shard")
 	tracesC := reg.Counter("trace_groups")
 	unitsC := reg.Counter("units")
-	prunedC := reg.Counter("pruned")
 
 	out := make(chan Result, len(mine))
 	sem := make(chan struct{}, e.opts.Workers)
@@ -89,13 +79,10 @@ func (e *Engine) runGrid(ctx context.Context, req api.ExperimentRequest) (<-chan
 					return
 				}
 				tracesC.Inc()
-				out <- runTraceGroup(ctx, i, g, prov, pruner, unitsC, prunedC)
+				out <- runTraceGroup(ctx, i, g, prov, unitsC)
 			}(i, g)
 		}
 		wg.Wait()
-		if pruner != nil {
-			pruner.Close()
-		}
 		obs.Default().Emit("grid.done", "", int64(len(mine)))
 	}()
 	return out, nil
@@ -108,11 +95,11 @@ func gridTitle(g shard.TraceGroup) string {
 
 // runTraceGroup runs all of one trace group's units, recording the
 // result table.
-func runTraceGroup(ctx context.Context, i int, g shard.TraceGroup, prov exp.TraceProvider, pruner *shard.Pruner, unitsC, prunedC *obs.Counter) Result {
+func runTraceGroup(ctx context.Context, i int, g shard.TraceGroup, prov exp.TraceProvider, unitsC *obs.Counter) Result {
 	r := Result{Index: i, ID: g.Tag(), Title: gridTitle(g)}
 	start := time.Now()
 	rec := &report.Recording{}
-	r.Err = gridGroupInto(ctx, g, prov, pruner, rec, unitsC, prunedC)
+	r.Err = gridGroupInto(ctx, g, prov, rec, unitsC)
 	r.Elapsed = time.Since(start)
 	r.Report = rec
 	r.Output = rec.Text()
@@ -121,12 +108,9 @@ func runTraceGroup(ctx context.Context, i int, g shard.TraceGroup, prov exp.Trac
 }
 
 // gridGroupInto does one trace group's work: render (or load) the
-// trace, then replay its configs — in a single grouped pass when
-// exhaustive, or sequentially with dominance checks when pruning. The
-// two replay paths produce bit-identical statistics (pinned by the
-// cache package's differential tests), so a unit measured on either
-// path contributes the same row bytes.
-func gridGroupInto(ctx context.Context, g shard.TraceGroup, prov exp.TraceProvider, pruner *shard.Pruner, rep report.Reporter, unitsC, prunedC *obs.Counter) error {
+// trace, then answer every unit's configuration from one grouped pass
+// over it.
+func gridGroupInto(ctx context.Context, g shard.TraceGroup, prov exp.TraceProvider, rep report.Reporter, unitsC *obs.Counter) error {
 	str, err := prov.SceneTrace(ctx, g.TK, g.Scale)
 	if err != nil {
 		return err
@@ -135,55 +119,19 @@ func gridGroupInto(ctx context.Context, g shard.TraceGroup, prov exp.TraceProvid
 		g.Scale, g.TK.Layout.Kind, str.Len())
 	rep.BeginTable(shard.GridTableID, gridColumns())
 
-	row := func(u shard.Unit, s cache.Stats, hw int64) {
-		rep.Row(u.Tag(), u.Config.String(), 100*s.MissRate(), s.Accesses,
-			s.Misses, s.Cold, s.Capacity, s.Conflict, hw)
+	cfgs := make([]cache.Config, len(g.Units))
+	for j, u := range g.Units {
+		cfgs[j] = u.Config
 	}
-
-	if pruner == nil {
-		cfgs := make([]cache.Config, len(g.Units))
-		for j, u := range g.Units {
-			cfgs[j] = u.Config
-		}
-		stats, err := cache.SimulateConfigsGroupedStream(ctx, str, cfgs)
-		if err != nil {
-			return err
-		}
-		for j, s := range stats {
-			unitsC.Inc()
-			row(g.Units[j], s, cost.ConfigCost(g.Units[j].Config).Total())
-		}
-		return nil
+	stats, err := cache.SimulateConfigsGroupedStream(ctx, str, cfgs)
+	if err != nil {
+		return err
 	}
-
-	// Pruning path: sequential per-config replay so each measurement can
-	// tighten the bounds before the next dominance check. Decisions use
-	// only same-trace state, so they are deterministic however many
-	// groups run concurrently.
-	for _, u := range g.Units {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hw := cost.ConfigCost(u.Config).Total()
-		if by, ok := pruner.Dominated(g.Key, u.Config, hw); ok {
-			prunedC.Inc()
-			rep.Note("pruned %s (%s, cost %d): dominated by measured %s", u.Tag(), u.Config, hw, by)
-			continue
-		}
-		c, err := cache.TryNewClassifying(u.Config)
-		if err != nil {
-			return err
-		}
-		if err := cache.ReplayStreamConcurrent(ctx, str, c.Sink()); err != nil {
-			return err
-		}
-		s := c.Stats()
-		pruner.Observe(shard.Point{
-			Trace: g.Key, Unit: u.Tag(), Label: u.Config.String(), Config: u.Config,
-			Accesses: s.Accesses, Misses: s.Misses, Cold: s.Cold, Cost: hw,
-		})
+	for j, s := range stats {
 		unitsC.Inc()
-		row(u, s, hw)
+		u := g.Units[j]
+		rep.Row(u.Tag(), u.Config.String(), 100*s.MissRate(), s.Accesses,
+			s.Misses, s.Cold, s.Capacity, s.Conflict, cost.ConfigCost(u.Config).Total())
 	}
 	return nil
 }

@@ -57,11 +57,11 @@ func StreamNDJSON(w io.Writer, results <-chan Result, onResult func(Result)) err
 
 // RunRequestNDJSON executes req and writes its NDJSON stream to w —
 // RunRequest piped through StreamNDJSON, with the engine's result cache
-// (when configured and the request is Cacheable) consulted first. A
-// warm request is served as stored bytes, byte-identical to a fresh
-// run; a cold one simulates while streaming, and the finished stream is
-// cached for the next caller. Grid requests always simulate: their row
-// set depends on pruning frontier state (see Cacheable).
+// (when configured) consulted first. A warm request is served as stored
+// bytes, byte-identical to a fresh run; a cold one simulates while
+// streaming, and the finished stream is cached for the next caller.
+// Every request kind is a pure function of its identity (pinned by the
+// determinism tests), grids included, so every kind caches.
 //
 // onResult fires per finished result exactly as in StreamNDJSON on the
 // producing path; requests served from the cache complete without
@@ -75,7 +75,7 @@ func (e *Engine) RunRequestNDJSON(ctx context.Context, req api.ExperimentRequest
 	if err != nil {
 		return err
 	}
-	if rc == nil || !Cacheable(req) {
+	if rc == nil {
 		results, err := e.RunRequest(ctx, req)
 		if err != nil {
 			return err

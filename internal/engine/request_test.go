@@ -151,21 +151,6 @@ func TestRunRequestGrid(t *testing.T) {
 		t.Errorf("grid output missing cost column:\n%s", exhaustive)
 	}
 
-	// The pruned run reports the same frontier (dominated rows become
-	// notes) and the frontier file round-trips.
-	ff := filepath.Join(t.TempDir(), "frontier.ndjson")
-	for run := 0; run < 2; run++ {
-		ch, err := New(WithPruning(true), WithFrontierFile(ff)).RunRequest(context.Background(), gridReq())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range ch {
-			if r.Err != nil {
-				t.Fatalf("pruned run %d: %v", run, r.Err)
-			}
-		}
-	}
-
 	// A shard slice of count 1 covers the whole grid.
 	req := gridReq()
 	req.Shard = &api.Shard{Index: 0, Count: 1}
@@ -239,7 +224,14 @@ func TestRunRequestNDJSONWarmIdentical(t *testing.T) {
 	}
 }
 
-func TestRunRequestNDJSONGridBypasses(t *testing.T) {
+// TestRunRequestNDJSONGridCached pins grids on the result-cached path:
+// a repeated grid request is a cache hit with the bytes of an uncached
+// run.
+func TestRunRequestNDJSONGridCached(t *testing.T) {
+	var fresh bytes.Buffer
+	if err := New().RunRequestNDJSON(context.Background(), gridReq(), &fresh, nil); err != nil {
+		t.Fatal(err)
+	}
 	rc := NewResultCache()
 	e := New(WithResultCache(rc))
 	var a, b bytes.Buffer
@@ -248,14 +240,11 @@ func TestRunRequestNDJSONGridBypasses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("grid NDJSON stream not deterministic")
+	if !bytes.Equal(a.Bytes(), fresh.Bytes()) || !bytes.Equal(b.Bytes(), fresh.Bytes()) {
+		t.Error("cached grid NDJSON stream differs from an uncached run")
 	}
-	if rc.Misses() != 0 && rc.Hits() != 0 {
-		t.Errorf("grid request touched the result cache: misses %d hits %d", rc.Misses(), rc.Hits())
-	}
-	if rc.Produced() != 0 {
-		t.Errorf("grid request produced a cache entry: %d", rc.Produced())
+	if rc.Produced() != 1 || rc.Hits() != 1 {
+		t.Errorf("Produced %d Hits %d, want 1/1", rc.Produced(), rc.Hits())
 	}
 }
 

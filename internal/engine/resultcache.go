@@ -3,11 +3,16 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"debug/elf"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"texcache/internal/api"
 	"texcache/internal/cas"
@@ -22,28 +27,60 @@ import (
 // serving them.
 const ResultFormatVersion = 1
 
-// Cacheable reports whether req's finished stream may be served from a
-// ResultCache. Grid requests are excluded by design: with pruning
-// enabled their row set depends on the Pareto frontier accumulated so
-// far (and on any frontier file preloaded into the run), so the stream
-// is not a pure function of the request. Sweep, architecture and
-// experiment requests are pure — same request, same bytes, pinned by
-// the determinism tests — and cache freely.
-func Cacheable(req api.ExperimentRequest) bool {
-	return req.Kind() != api.KindGrid
-}
-
 // resultKey canonicalizes a request's result identity: the memory key,
 // the string echoed into persistent entries for verification, and (as
 // its hex SHA-256) the <hash>.result filename stem. Every version that
 // can change the bytes is in the key: the API wire version (request
-// semantics), the trace codec version (address generation), and the
-// result format version (serialization).
+// semantics), the trace codec version (address generation), the result
+// format version (serialization), and the build of the running program
+// (the model itself), so a store filled by another build only misses.
 func resultKey(req api.ExperimentRequest) string {
 	return "api=" + strconv.Itoa(api.Version) +
 		"\ncodec=" + trace.CodecVersion +
 		"\nresult=" + strconv.Itoa(ResultFormatVersion) +
+		"\nbuild=" + buildID() +
 		"\nrequest=" + req.ResultIdentity() + "\n"
+}
+
+// buildID names the running executable: the Go build ID from its
+// .note.go.buildid ELF note, or else the SHA-256 of the file. It is read
+// on the first result key, not at start-up, so a run that never
+// consults the result cache never pays for it.
+var buildID = sync.OnceValue(func() string {
+	if exe, err := os.Executable(); err == nil {
+		if id, ok := executableID(exe); ok {
+			return id
+		}
+	}
+	// Nothing names the build: key this process alone, so its stored
+	// entries are never served to another.
+	return "pid:" + strconv.Itoa(os.Getpid()) + "@" + strconv.FormatInt(time.Now().UnixNano(), 10)
+})
+
+// executableID identifies the executable at path by its Go build ID
+// note, or by the SHA-256 of the file where it has none; ok is false
+// when the file cannot be read.
+func executableID(path string) (id string, ok bool) {
+	if f, err := elf.Open(path); err == nil {
+		defer f.Close()
+		// An ELF note: name size, descriptor size and type, then the
+		// name ("Go") and the descriptor (the build ID), each padded to
+		// a multiple of 4 bytes.
+		if sec := f.Section(".note.go.buildid"); sec != nil {
+			if note, err := sec.Data(); err == nil && len(note) > 12 {
+				start := 12 + (int(f.ByteOrder.Uint32(note))+3)&^3
+				if end := start + int(f.ByteOrder.Uint32(note[4:])); start < end && end <= len(note) {
+					return string(note[start:end]), true
+				}
+			}
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", false
+	}
+	sum := sha256.Sum256(data)
+	return "sha256:" + hex.EncodeToString(sum[:]), true
 }
 
 // Budgets for the memory tier. 256 finished streams at the observed

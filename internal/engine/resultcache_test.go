@@ -3,21 +3,25 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"texcache/internal/api"
+	"texcache/internal/cas"
 	"texcache/internal/exp"
 	"texcache/internal/raster"
 	"texcache/internal/texture"
 )
 
-// sweepReq builds a small cacheable sweep request; the scene name keys
+// sweepReq builds a small sweep request; the scene name keys
 // the result identity, so distinct names make distinct cache entries.
 func sweepReq(scene string) api.ExperimentRequest {
 	return api.ExperimentRequest{
@@ -362,22 +366,66 @@ func TestResultCacheKeyMismatchIsMiss(t *testing.T) {
 	}
 }
 
-func TestCacheable(t *testing.T) {
-	if !Cacheable(sweepReq("goblet")) {
-		t.Error("sweep request not cacheable")
+// TestResultCacheOtherBuildIsMiss pins the build in the result key: an
+// entry another build stored for the same request is never served,
+// whether it sits under its own name or under this build's.
+func TestResultCacheOtherBuildIsMiss(t *testing.T) {
+	req := sweepReq("goblet")
+	key := resultKey(req)
+	if !strings.Contains(key, "\nbuild="+buildID()+"\n") {
+		t.Fatalf("result key does not name the build %q:\n%s", buildID(), key)
 	}
-	if !Cacheable(api.ExperimentRequest{Experiments: []string{"fig5.2"}}) {
-		t.Error("experiments request not cacheable")
+	other := strings.Replace(key, "build="+buildID(), "build=another-build", 1)
+
+	for _, renamed := range []bool{false, true} {
+		dir := t.TempDir()
+		store, err := cas.Open(dir, ".result", resultMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Save(other, []byte("STALE\n")); err != nil {
+			t.Fatal(err)
+		}
+		if renamed {
+			if err := os.Rename(store.File(other), store.File(key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rc := NewResultCache()
+		if err := rc.AttachDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		runs := 0
+		if got := serveString(t, rc, req, fakeProduce("FRESH\n", &runs, &mu)); got != "FRESH\n" {
+			t.Errorf("renamed=%v: served %q from another build's entry", renamed, got)
+		}
+		if runs != 1 || rc.StoreHits() != 0 {
+			t.Errorf("renamed=%v: runs %d StoreHits %d, want 1/0", renamed, runs, rc.StoreHits())
+		}
 	}
-	if !Cacheable(api.ExperimentRequest{Scene: "goblet", Architecture: &api.Architecture{}}) {
-		t.Error("architecture request not cacheable")
+}
+
+// TestExecutableID pins both ways of naming a build: a Go executable
+// by the build ID note its linker wrote, any other file by its SHA-256.
+func TestExecutableID(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
 	}
-	grid := api.ExperimentRequest{Grid: &api.Grid{
-		Scenes:  []string{"goblet"},
-		Configs: []api.CacheConfig{{SizeBytes: 16 << 10, LineBytes: 64, Ways: 2}},
-	}}
-	if Cacheable(grid) {
-		t.Error("grid request cacheable; pruning makes its rows frontier-dependent")
+	if id, ok := executableID(exe); !ok || id != buildID() || runtime.GOOS == "linux" && strings.HasPrefix(id, "sha256:") {
+		t.Errorf("executableID(test binary) = %q, %v; buildID() = %q", id, ok, buildID())
+	}
+	path := filepath.Join(t.TempDir(), "script")
+	if err := os.WriteFile(path, []byte("#!/bin/sh\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte("#!/bin/sh\n"))
+	if id, ok := executableID(path); !ok || id != "sha256:"+hex.EncodeToString(sum[:]) {
+		t.Errorf("executableID(non-ELF file) = %q, %v; want its SHA-256", id, ok)
+	}
+	if id, ok := executableID(filepath.Join(t.TempDir(), "missing")); ok {
+		t.Errorf("executableID(missing file) = %q, want not ok", id)
 	}
 }
 

@@ -79,7 +79,8 @@ func (c *Collector) line(b []byte) error {
 	}
 	// Grid row layout (gridColumns in internal/engine): unit tag,
 	// configuration label, miss %, accesses, misses, cold, capacity,
-	// conflict, cost.
+	// conflict, cost. The frontier needs no cold count, but a row from a
+	// worker process with a malformed one is still rejected.
 	if len(row.Values) < 9 {
 		return fmt.Errorf("shard: grid row with %d values (want 9): %q", len(row.Values), b)
 	}
@@ -87,7 +88,7 @@ func (c *Collector) line(b []byte) error {
 	label, _ := row.Values[1].(string)
 	acc, ok1 := asUint(row.Values[3])
 	miss, ok2 := asUint(row.Values[4])
-	cold, ok3 := asUint(row.Values[5])
+	_, ok3 := asUint(row.Values[5])
 	cost, ok4 := asInt(row.Values[8])
 	if unit == "" || !ok1 || !ok2 || !ok3 || !ok4 {
 		return fmt.Errorf("shard: grid row values malformed: %q", b)
@@ -96,8 +97,7 @@ func (c *Collector) line(b []byte) error {
 		c.order = append(c.order, row.Exp)
 	}
 	c.pts[row.Exp] = append(c.pts[row.Exp], Point{
-		Trace: row.Exp, Unit: unit, Label: label,
-		Accesses: acc, Misses: miss, Cold: cold, Cost: cost,
+		Unit: unit, Label: label, Accesses: acc, Misses: miss, Cost: cost,
 	})
 	return nil
 }

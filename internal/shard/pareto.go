@@ -1,59 +1,20 @@
-// Pareto frontier of the design space — miss rate against the hardware
-// cost of each cache organization — and the lossless pruner that lets a
-// grid run skip provably dominated design points before replaying them.
-//
-// The pruner's soundness argument: a unit c (trace t, config with cost
-// cost(c)) may be skipped only when some already-measured point f on the
-// same trace has cost(f) < cost(c) strictly AND missRate(f) <= lb(c),
-// where lb(c) is a provable lower bound on c's miss rate:
-//
-//   - the compulsory floor: cold misses are first touches of a line,
-//     which depend only on the line size, not on capacity or
-//     associativity — so any measured point at c's line size gives
-//     missRate(c) >= cold/accesses;
-//   - LRU inclusion: at a fixed line size and set count, an LRU cache
-//     with more ways holds a superset of every set's stack (Mattson), so
-//     a measured LRU point q with the same sets/line and >= ways gives
-//     missRate(c) >= missRate(q).
-//
-// Every skipped point is then strictly dominated by a measured point, so
-// the frontier of measured points equals the frontier of the full grid:
-// if a skipped s had displaced a frontier point p, the f that dominated s
-// (cost(f) < cost(s), miss(f) <= miss(s)) would itself dominate p —
-// contradiction. Ties are never skipped (the cost comparison is strict),
-// so exact-tie frontier members always get measured.
+// The Pareto frontier of the design space: miss rate against the
+// hardware cost of each cache organization.
 package shard
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
-	"sort"
-	"strings"
-	"sync"
-
-	"texcache/internal/api"
-	"texcache/internal/cache"
-)
+import "sort"
 
 // Point is one measured design point: a (trace, config) unit with its
 // replay statistics and hardware cost.
 type Point struct {
-	// Trace is the owning trace group's content key.
-	Trace string
 	// Unit is the unit's Tag (global index + content key).
 	Unit string
 	// Label is the configuration's display string ("32KB 2-way 128B
-	// lines"); rows and frontier output carry it verbatim.
+	// lines"); frontier output carries it verbatim.
 	Label string
-	// Config is the cache organization; zero-valued on points parsed
-	// back from an output stream (the frontier needs only the numbers).
-	Config cache.Config
-	// Accesses, Misses and Cold are the replay's integer statistics —
-	// kept as integers so the miss rate recomputes identically on every
-	// path (worker, coordinator, collector).
-	Accesses, Misses, Cold uint64
+	// Accesses and Misses are the replay's integer statistics, kept as
+	// integers so the miss rate recomputes identically from any stream.
+	Accesses, Misses uint64
 	// Cost is the configuration's hardware cost (cost.ConfigCost).
 	Cost int64
 }
@@ -104,200 +65,4 @@ func Frontier(pts []Point) []Point {
 		return out[i].Unit < out[j].Unit
 	})
 	return out
-}
-
-// coldFloor is the compulsory-miss floor observed for one line size on
-// one trace.
-type coldFloor struct {
-	cold, accesses uint64
-}
-
-// traceState is the pruner's per-trace view: measured points plus the
-// cold floor per line size.
-type traceState struct {
-	points []Point
-	cold   map[int]coldFloor
-}
-
-// Pruner accumulates measured design points per trace and answers
-// "provably dominated?" queries with the lossless bounds documented at
-// the top of the file. It is safe for concurrent use by the engine's
-// trace-group workers; prune decisions stay deterministic because all
-// bounds are per-trace and each trace's units replay sequentially on
-// one goroutine.
-//
-// With AttachFile, measured points also persist to an append-only
-// NDJSON file and prior runs' points are loaded at start — so a re-run
-// (or a coordinator's workers sharing the file) skips points the
-// earlier measurements already dominate.
-type Pruner struct {
-	mu      sync.Mutex
-	byTrace map[string]*traceState
-	file    *os.File
-	skipped int
-}
-
-// NewPruner returns an empty pruner.
-func NewPruner() *Pruner {
-	return &Pruner{byTrace: map[string]*traceState{}}
-}
-
-// filePoint is the frontier file's NDJSON line: a Point with the config
-// in wire form so it round-trips through api.CacheConfig.
-type filePoint struct {
-	Trace    string          `json:"trace"`
-	Unit     string          `json:"unit"`
-	Label    string          `json:"label"`
-	Config   api.CacheConfig `json:"config"`
-	Accesses uint64          `json:"accesses"`
-	Misses   uint64          `json:"misses"`
-	Cold     uint64          `json:"cold"`
-	Cost     int64           `json:"cost"`
-}
-
-// AttachFile loads any points already recorded in path and opens it for
-// appending, creating it if needed. Malformed lines (a torn tail from a
-// killed run) are skipped, not fatal.
-func (p *Pruner) AttachFile(path string) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("shard: frontier file: %w", err)
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var fp filePoint
-		if err := json.Unmarshal([]byte(line), &fp); err != nil {
-			continue
-		}
-		cfg, err := fp.Config.Cache()
-		if err != nil {
-			continue
-		}
-		p.record(Point{
-			Trace: fp.Trace, Unit: fp.Unit, Label: fp.Label, Config: cfg,
-			Accesses: fp.Accesses, Misses: fp.Misses, Cold: fp.Cold, Cost: fp.Cost,
-		}, false)
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: frontier file: %w", err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: frontier file: %w", err)
-	}
-	p.mu.Lock()
-	p.file = f
-	p.mu.Unlock()
-	return nil
-}
-
-// Close releases the frontier file, if attached.
-func (p *Pruner) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.file == nil {
-		return nil
-	}
-	err := p.file.Close()
-	p.file = nil
-	return err
-}
-
-// Observe records one measured point, appending it to the frontier file
-// when attached (best effort: a full disk degrades persistence, not the
-// run).
-func (p *Pruner) Observe(pt Point) {
-	p.record(pt, true)
-}
-
-// record is Observe plus the load path (which must not re-append).
-func (p *Pruner) record(pt Point, persist bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t := p.byTrace[pt.Trace]
-	if t == nil {
-		t = &traceState{cold: map[int]coldFloor{}}
-		p.byTrace[pt.Trace] = t
-	}
-	t.points = append(t.points, pt)
-	if pt.Config.LineBytes > 0 && pt.Accesses > 0 {
-		if _, ok := t.cold[pt.Config.LineBytes]; !ok {
-			t.cold[pt.Config.LineBytes] = coldFloor{cold: pt.Cold, accesses: pt.Accesses}
-		}
-	}
-	if persist && p.file != nil {
-		line, err := json.Marshal(filePoint{
-			Trace: pt.Trace, Unit: pt.Unit, Label: pt.Label,
-			Config: api.CacheConfig{
-				SizeBytes: pt.Config.SizeBytes, LineBytes: pt.Config.LineBytes,
-				Ways: pt.Config.Ways, Policy: strings.ToLower(pt.Config.Policy.String()),
-			},
-			Accesses: pt.Accesses, Misses: pt.Misses, Cold: pt.Cold, Cost: pt.Cost,
-		})
-		if err == nil {
-			_, _ = p.file.Write(append(line, '\n'))
-		}
-	}
-}
-
-// effectiveWays resolves the fully associative shorthand (Ways 0) to the
-// actual way count for inclusion comparisons.
-func effectiveWays(c cache.Config) int {
-	if c.Ways == 0 {
-		return c.NumLines()
-	}
-	return c.Ways
-}
-
-// Dominated reports whether the (traceKey, cfg, cost) unit is provably
-// strictly dominated by an already-measured point on the same trace,
-// returning that point's label for the skip note. The bounds are
-// documented at the top of the file; when no sound lower bound exists
-// yet for cfg's line size, the unit is never skipped.
-func (p *Pruner) Dominated(traceKey string, cfg cache.Config, cost int64) (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t := p.byTrace[traceKey]
-	if t == nil {
-		return "", false
-	}
-	lb := -1.0
-	if f, ok := t.cold[cfg.LineBytes]; ok && f.accesses > 0 {
-		lb = float64(f.cold) / float64(f.accesses)
-	}
-	if cfg.Policy == cache.LRU {
-		sets, ways := cfg.NumSets(), effectiveWays(cfg)
-		for _, q := range t.points {
-			if q.Config.Policy == cache.LRU && q.Config.LineBytes == cfg.LineBytes &&
-				q.Config.NumSets() == sets && effectiveWays(q.Config) >= ways {
-				if mr := q.MissRate(); mr > lb {
-					lb = mr
-				}
-			}
-		}
-	}
-	if lb < 0 {
-		return "", false
-	}
-	for _, q := range t.points {
-		if q.Cost < cost && q.MissRate() <= lb {
-			p.skipped++
-			return q.Label, true
-		}
-	}
-	return "", false
-}
-
-// Skipped reports how many Dominated queries answered true — the
-// pruner's own count of configs never replayed.
-func (p *Pruner) Skipped() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.skipped
 }

@@ -12,16 +12,13 @@
 //
 // Sharding is trace-affine: Assigned hands worker i of n every group
 // whose index is congruent to i mod n, all of a trace's configs
-// together. That guarantees each trace is rendered exactly once
-// machine-wide (no two workers ever want the same render) and keeps the
-// Pareto pruner's per-trace reasoning deterministic regardless of how
-// many workers run.
+// together, so each trace renders once machine-wide (no two workers
+// ever want the same render).
 //
 // The other half of the package reassembles results: Collector parses
 // the engine's grid NDJSON rows back into measured points, MergeStreams
 // k-way merges per-shard streams into the canonical unsharded order,
-// and pareto.go computes (and prunes against) the miss-rate/cost
-// frontier.
+// and pareto.go computes the miss-rate/cost frontier.
 package shard
 
 import (

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"texcache/internal/api"
-	"texcache/internal/cache"
 	"texcache/internal/scenes"
 	"texcache/internal/texture"
 )
@@ -176,7 +173,7 @@ func TestTraceTags(t *testing.T) {
 // exact ties survive, output is cost-sorted.
 func TestFrontier(t *testing.T) {
 	pt := func(unit string, miss, acc uint64, cost int64) Point {
-		return Point{Trace: "t", Unit: unit, Misses: miss, Accesses: acc, Cost: cost}
+		return Point{Unit: unit, Misses: miss, Accesses: acc, Cost: cost}
 	}
 	pts := []Point{
 		pt("a", 50, 1000, 100), // frontier: cheapest
@@ -193,110 +190,6 @@ func TestFrontier(t *testing.T) {
 	}
 	if got := strings.Join(units, ","); got != "a,b,e,c" {
 		t.Errorf("Frontier = %s, want a,b,e,c", got)
-	}
-}
-
-// TestPrunerBounds drives both lower bounds: the cold floor shared by
-// every config at a line size, and LRU stack inclusion.
-func TestPrunerBounds(t *testing.T) {
-	p := NewPruner()
-	cheap := cache.Config{SizeBytes: 2 << 10, LineBytes: 64, Ways: 1, Policy: cache.LRU}
-	big := cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 2, Policy: cache.LRU}
-
-	// Nothing measured: never prune.
-	if label, ok := p.Dominated("tr", big, 9999); ok {
-		t.Fatalf("empty pruner pruned against %q", label)
-	}
-
-	// The cheap config measured at the compulsory floor (misses == cold)
-	// makes every strictly costlier config at that line size dominated.
-	p.Observe(Point{
-		Trace: "tr", Unit: "u00000-abc", Label: cheap.String(), Config: cheap,
-		Accesses: 1000, Misses: 100, Cold: 100, Cost: 500,
-	})
-	if _, ok := p.Dominated("tr", big, 9999); !ok {
-		t.Error("costlier config not pruned against a compulsory-floor measurement")
-	}
-	// Equal cost is never pruned: the comparison is strict.
-	if _, ok := p.Dominated("tr", big, 500); ok {
-		t.Error("equal-cost config pruned; ties must be measured")
-	}
-	// A different line size has no floor yet, so no bound applies to a
-	// non-LRU config there.
-	other := cache.Config{SizeBytes: 32 << 10, LineBytes: 128, Ways: 2, Policy: cache.FIFO}
-	if _, ok := p.Dominated("tr", other, 9999); ok {
-		t.Error("config at unmeasured line size pruned without a sound bound")
-	}
-	// Different trace: bounds never cross traces.
-	if _, ok := p.Dominated("other-trace", big, 9999); ok {
-		t.Error("bounds leaked across traces")
-	}
-
-	// LRU inclusion: a measured 4-way point lower-bounds a candidate with
-	// the same sets/line and fewer ways, even above the cold floor.
-	p2 := NewPruner()
-	measured := cache.Config{SizeBytes: 16 << 10, LineBytes: 64, Ways: 4, Policy: cache.LRU}
-	p2.Observe(Point{
-		Trace: "tr", Unit: "u00000-abc", Label: measured.String(), Config: measured,
-		Accesses: 1000, Misses: 300, Cold: 100, Cost: 500,
-	})
-	// Same sets (64), fewer ways: missRate >= 30% is a valid bound, and
-	// the measured point (cost 500 < 600, 30% <= 30%) dominates.
-	cand := cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2, Policy: cache.LRU}
-	if cand.NumSets() != measured.NumSets() {
-		t.Fatalf("test setup: sets %d vs %d", cand.NumSets(), measured.NumSets())
-	}
-	if _, ok := p2.Dominated("tr", cand, 600); !ok {
-		t.Error("LRU inclusion bound not applied")
-	}
-	// The same candidate under FIFO has no inclusion property; only the
-	// 10% cold floor applies, which the 30% measurement doesn't reach.
-	fifoCand := cand
-	fifoCand.Policy = cache.FIFO
-	if _, ok := p2.Dominated("tr", fifoCand, 600); ok {
-		t.Error("inclusion bound wrongly applied to a non-LRU candidate")
-	}
-	if p2.Skipped() != 1 {
-		t.Errorf("Skipped = %d, want 1", p2.Skipped())
-	}
-}
-
-// TestPrunerFileRoundTrip pins the frontier file: points observed by one
-// pruner are loaded by the next, malformed tail lines are skipped.
-func TestPrunerFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "frontier.ndjson")
-	cheap := cache.Config{SizeBytes: 2 << 10, LineBytes: 64, Ways: 1, Policy: cache.LRU}
-
-	p := NewPruner()
-	if err := p.AttachFile(path); err != nil {
-		t.Fatal(err)
-	}
-	p.Observe(Point{
-		Trace: "tr", Unit: "u00000-abc", Label: cheap.String(), Config: cheap,
-		Accesses: 1000, Misses: 100, Cold: 100, Cost: 500,
-	})
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate a torn tail from a killed run.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"trace":"tr","unit":`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	p2 := NewPruner()
-	if err := p2.AttachFile(path); err != nil {
-		t.Fatalf("AttachFile with torn tail: %v", err)
-	}
-	defer p2.Close()
-	big := cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 2, Policy: cache.LRU}
-	if label, ok := p2.Dominated("tr", big, 9999); !ok || label != cheap.String() {
-		t.Errorf("reloaded pruner Dominated = %q, %v; want dominated by %q", label, ok, cheap.String())
 	}
 }
 
