@@ -99,7 +99,8 @@ cover:
 FUZZ_TARGETS = ./internal/cas:FuzzDecode ./internal/trace:FuzzReadFile \
 	./internal/cache:FuzzSimulateConfigsGrouped ./internal/cache:FuzzAccessBatch \
 	./internal/cache:FuzzStackDist ./internal/texture:FuzzLayoutAddressing ./internal/gl:FuzzReplay \
-	./internal/raster:FuzzHilbertWalk ./internal/shard:FuzzMergeStreams
+	./internal/raster:FuzzHilbertWalk ./internal/shard:FuzzMergeStreams \
+	./internal/api:FuzzRequest
 fuzz-smoke:
 	@set -e; \
 	for pt in $(FUZZ_TARGETS) ; do \

@@ -38,7 +38,10 @@
 // X-Texcache-Tenant header; requests without one share an anonymous
 // bucket. Every response carries X-Texcache-Api-Version; error bodies
 // are JSON {"v","code","error","field"} documents with wire-stable
-// codes. SIGINT / SIGTERM drain in-flight requests before exit.
+// codes. A connection that does not finish its request headers within
+// 10s is closed, and so is a keep-alive connection idle for 2 minutes;
+// responses themselves have no time limit. SIGINT / SIGTERM drain
+// in-flight requests before exit.
 package main
 
 import (
@@ -59,6 +62,21 @@ import (
 
 func main() {
 	os.Exit(run())
+}
+
+// The connection timeouts: a client has readHeaderTimeout to send its
+// request headers, and a keep-alive connection may sit idle between
+// requests for idleTimeout. There is deliberately no read or write
+// timeout, because batch and grid responses stream for minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the http.Server that serves h, with the
+// connection timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func run() int {
@@ -105,7 +123,7 @@ func run() int {
 	fmt.Fprintf(os.Stderr, "texserve: listening on %s (workers %d, queue %d/tenant)\n",
 		ln.Addr(), *workers, *queue)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

@@ -42,7 +42,8 @@
 // always NDJSON — one row per (trace, config) unit with its classified
 // misses and hardware cost, then the Pareto frontier of miss rate
 // against cost ("exp":"pareto" lines). Each trace is replayed once:
-// every configuration of a line size comes from one grouped walk.
+// the configurations of a line size come from one grouped walk, or a
+// lone one from its own cache.
 // -coordinate n fans the grid out over n worker processes sharing one
 // trace store and merges their streams byte-identically to the
 // single-process run; -shard i/n runs one worker's deterministic slice
@@ -70,10 +71,13 @@
 //
 //	texsim -exp all -json -result-dir .results  # warm repeats are instant
 //
-// Sweeps run on the grouped single-pass simulator: every LRU
-// configuration sharing a line size is answered from one walk of the
-// trace. -cpuprofile and -memprofile write runtime/pprof profiles
-// covering the whole run.
+// -coordinate rejects -result-dir as a usage error: the coordinator
+// would neither store nor serve its merged stream.
+//
+// Sweeps run in one pass per line size: LRU configurations sharing a
+// line size are answered from one walk of the trace, and one alone at
+// its line size from its own cache. -cpuprofile and -memprofile write
+// runtime/pprof profiles covering the whole run.
 //
 // -json emits each experiment's tables as newline-delimited JSON objects
 // (one per row/note, each stamped with its experiment ID) instead of the
@@ -124,6 +128,7 @@ type flags struct {
 	gridFile    string
 	shard       string
 	coordinate  int
+	resultDir   string
 }
 
 // parseShard parses the -shard i/n worker-slice syntax. Range errors
@@ -164,6 +169,9 @@ func buildRequest(f flags, stdin io.Reader) (texcache.ExperimentRequest, error) 
 		}
 		if f.coordinate < 0 {
 			return texcache.ExperimentRequest{}, fmt.Errorf("-coordinate %d: worker count must be >= 1", f.coordinate)
+		}
+		if f.coordinate != 0 && f.resultDir != "" {
+			return texcache.ExperimentRequest{}, errors.New("-result-dir does not apply to -coordinate: the coordinator neither stores nor serves its merged stream; drop one of them")
 		}
 		r := stdin
 		if f.gridFile != "-" {
@@ -264,7 +272,7 @@ func run() int {
 	flag.StringVar(&f.shard, "shard", "", "run only this worker slice of the -grid, as i/n (e.g. 2/8); rows only, no frontier")
 	flag.IntVar(&f.coordinate, "coordinate", 0, "spawn this many texsim worker processes over the -grid, sharing one trace store, and merge their streams into the canonical order")
 	traceDir := flag.String("trace-dir", "", "persist rendered traces in this directory and reuse them across runs (output is identical)")
-	resultDir := flag.String("result-dir", "", "persist finished -json and -grid result streams in this directory and serve repeat runs from it without re-simulating (output is byte-identical)")
+	flag.StringVar(&f.resultDir, "result-dir", "", "persist finished -json and -grid result streams in this directory and serve repeat runs from it without re-simulating (output is byte-identical; not with -coordinate)")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -350,11 +358,11 @@ func run() int {
 	if *traceDir != "" {
 		opts = append(opts, texcache.WithTraceDir(*traceDir))
 	}
-	if *resultDir != "" {
+	if f.resultDir != "" {
 		// Consulted only on the NDJSON path (-json and -grid): the result
 		// cache stores finished NDJSON streams, so text tables always
 		// simulate.
-		opts = append(opts, texcache.WithResultDir(*resultDir))
+		opts = append(opts, texcache.WithResultDir(f.resultDir))
 	}
 	if *progress {
 		opts = append(opts, texcache.WithProgress(func(p texcache.ExperimentProgress) {

@@ -66,9 +66,10 @@ func TestBuildRequest(t *testing.T) {
 }
 
 // TestBuildRequestGrid pins the -grid/-shard/-coordinate flag surface:
-// shape errors (malformed -shard syntax, flags without a grid) fail
-// locally, range errors (i >= n, n < 1) flow through the same shared
-// validator texserve uses, and both exit 2.
+// shape errors (malformed -shard syntax, flags without a grid,
+// -coordinate with -result-dir) fail locally, range errors (i >= n,
+// n < 1) flow through the same shared validator texserve uses, and both
+// exit 2.
 func TestBuildRequestGrid(t *testing.T) {
 	const grid = `{"scenes":["town"],"configs":[{"size_bytes":2048,"ways":1,"line_bytes":64}]}`
 	cases := []struct {
@@ -92,6 +93,8 @@ func TestBuildRequestGrid(t *testing.T) {
 		{name: "shard without grid", f: flags{id: "all", shard: "0/2", scale: 2}, wantErr: "-shard needs a -grid"},
 		{name: "coordinate without grid", f: flags{id: "all", coordinate: 2, scale: 2}, wantErr: "-coordinate needs a -grid"},
 		{name: "negative coordinate", f: flags{gridFile: "-", coordinate: -1, scale: 2}, stdin: grid, wantErr: "-coordinate"},
+		{name: "coordinate plus result dir", f: flags{gridFile: "-", coordinate: 2, resultDir: "r", scale: 2}, stdin: grid, wantErr: "-result-dir does not apply to -coordinate"},
+		{name: "grid plus result dir", f: flags{gridFile: "-", resultDir: "r", scale: 2}, stdin: grid},
 		{name: "grid plus exp", f: flags{gridFile: "-", id: "all", scale: 2}, stdin: grid, wantErr: "-grid replaces"},
 		{name: "grid plus arch", f: flags{gridFile: "-", arch: "both", scale: 2}, stdin: grid, wantErr: "-grid replaces"},
 		{name: "grid plus request", f: flags{gridFile: "-", requestFile: "-", scale: 2}, stdin: grid, wantErr: "-grid replaces"},

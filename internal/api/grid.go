@@ -57,26 +57,24 @@ type Shard struct {
 	Count int `json:"count"`
 }
 
-// traceCount returns how many trace groups the grid enumerates once
-// defaults are applied, and unitCount the total (trace, config) units.
-func (g Grid) traceCount() int {
-	n := len(g.Scenes)
-	if n == 0 {
-		n = len(scenes.Names())
+// unitCount returns how many (trace, config) units the grid enumerates
+// once defaults are applied. It stops multiplying once the count passes
+// MaxGridUnits, so no product of axis lengths can wrap around to a
+// small number and slip under the cap.
+func (g Grid) unitCount() int {
+	n := len(g.Configs)
+	sceneN := len(g.Scenes)
+	if sceneN == 0 {
+		sceneN = len(scenes.Names())
 	}
-	if len(g.Scales) > 0 {
-		n *= len(g.Scales)
-	}
-	if len(g.Layouts) > 0 {
-		n *= len(g.Layouts)
-	}
-	if len(g.Traversals) > 0 {
-		n *= len(g.Traversals)
+	for _, axis := range []int{sceneN, len(g.Scales), len(g.Layouts), len(g.Traversals)} {
+		if n > MaxGridUnits {
+			break
+		}
+		n *= max(axis, 1)
 	}
 	return n
 }
-
-func (g Grid) unitCount() int { return g.traceCount() * len(g.Configs) }
 
 // validateGrid checks a grid request: the grid axes are exclusive with
 // every single-point field, each axis value must be valid on its own,

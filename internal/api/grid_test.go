@@ -97,6 +97,39 @@ func TestValidateGrid(t *testing.T) {
 	}
 }
 
+// TestValidateGridUnitOverflow builds a grid whose axis lengths
+// multiply to exactly 2^64 units; on the wire it is a body of about
+// 800KB, under texserve's 1MB limit. A unit count that wrapped around
+// to 0 would pass the MaxGridUnits cap.
+func TestValidateGridUnitOverflow(t *testing.T) {
+	g := Grid{
+		Scenes:     make([]string, 1<<15),
+		Scales:     make([]int, 1<<17),
+		Layouts:    make([]Layout, 1<<12),
+		Traversals: make([]Traversal, 1<<13),
+		Configs:    make([]CacheConfig, 1<<7),
+	}
+	for i := range g.Scenes {
+		g.Scenes[i] = "town"
+	}
+	for i := range g.Scales {
+		g.Scales[i] = 8
+	}
+	for i := range g.Layouts {
+		g.Layouts[i] = Layout{Kind: "blocked", BlockW: 8}
+	}
+	for i := range g.Traversals {
+		g.Traversals[i] = Traversal{Order: "hilbert"}
+	}
+	for i := range g.Configs {
+		g.Configs[i] = CacheConfig{SizeBytes: 2 << 10, LineBytes: 64, Ways: 1}
+	}
+	var ae *Error
+	if err := Validate(ExperimentRequest{Grid: &g}.Normalized()); !errors.As(err, &ae) || ae.Field != "grid" {
+		t.Fatalf("Validate of a 2^64-unit grid = %v, want a grid error", err)
+	}
+}
+
 // TestGridWireJSON pins the grid/shard wire encoding: field names,
 // omitted defaults, and a round trip through the HTTP body form.
 func TestGridWireJSON(t *testing.T) {

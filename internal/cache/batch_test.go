@@ -30,9 +30,9 @@ func feedBatches(rng *rand.Rand, c *Cache, addrs []uint64) int {
 }
 
 // assertCacheEqual fails unless the two caches hold identical
-// statistics, line state and recency order (tags, stamps and the LRU
-// clock are compared directly; the fully-associative path is compared
-// through its statistics and residency probes in the callers).
+// statistics (the 3C split included), line state and recency order:
+// tags, stamps and the LRU clock, the fully-associative recency list,
+// the 3C shadow's recency list and the set of lines ever loaded.
 func assertCacheEqual(t *testing.T, label string, want, got *Cache) {
 	t.Helper()
 	if want.Stats() != got.Stats() {
@@ -48,6 +48,30 @@ func assertCacheEqual(t *testing.T, label string, want, got *Cache) {
 		if want.stamps[i] != got.stamps[i] {
 			t.Fatalf("%s: stamps[%d] diverge: scalar %d batch %d", label, i, want.stamps[i], got.stamps[i])
 		}
+	}
+	assertRecencyEqual(t, label+" fully-associative", want.full, got.full)
+	assertRecencyEqual(t, label+" shadow", want.shadow, got.shadow)
+	if len(want.everLoaded) != len(got.everLoaded) {
+		t.Fatalf("%s: lines ever loaded diverge: scalar %d batch %d", label, len(want.everLoaded), len(got.everLoaded))
+	}
+}
+
+// assertRecencyEqual compares two fully-associative LRU lists from the
+// most recent entry down; both may be nil.
+func assertRecencyEqual(t *testing.T, label string, want, got *falru) {
+	t.Helper()
+	if (want == nil) != (got == nil) {
+		t.Fatalf("%s: one cache has the list and the other not", label)
+	}
+	if want == nil {
+		return
+	}
+	w, g := want.head, got.head
+	for depth := 0; w != nilNode || g != nilNode; depth++ {
+		if w == nilNode || g == nilNode || want.nodes[w].addr != got.nodes[g].addr {
+			t.Fatalf("%s: recency order diverges at depth %d", label, depth)
+		}
+		w, g = want.nodes[w].next, got.nodes[g].next
 	}
 }
 
@@ -123,29 +147,48 @@ func TestAccessBatchEvictionOrder(t *testing.T) {
 
 // TestAccessBatchMixedWithScalar interleaves Access and AccessBatch
 // calls on one cache against a purely scalar twin: the batch kernel's
-// deferred clock and statistics write-back must leave the cache ready
-// for scalar accesses at any boundary.
+// deferred clock and statistics write-back, and its repeat state, must
+// leave the cache ready for scalar accesses at any boundary. Each run
+// opens with a batch that ends on line x, scalar accesses that evict x,
+// and a batch that starts on x again, which must miss.
 func TestAccessBatchMixedWithScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := diffTrace(7, 10000)
-	cfg := Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 4}
-
-	scalar := New(cfg)
-	mixed := New(cfg)
-	for _, a := range tr.Addrs {
-		scalar.Access(a)
-	}
-	for lo := 0; lo < len(tr.Addrs); {
-		if rng.Intn(2) == 0 {
-			mixed.Access(tr.Addrs[lo])
-			lo++
-			continue
+	for _, cfg := range []Config{
+		{SizeBytes: 8 << 10, LineBytes: 64, Ways: 4},
+		{SizeBytes: 512, LineBytes: 64, Ways: 1},
+		{SizeBytes: 1 << 10, LineBytes: 64, Ways: 0},
+	} {
+		for _, mk := range []func(Config) *Cache{New, NewClassifying} {
+			scalar, mixed := mk(cfg), mk(cfg)
+			x := uint64(1 << 20)
+			mixed.AccessBatch([]uint64{x})
+			scalar.Access(x)
+			for k := 1; k <= cfg.NumLines(); k++ {
+				evict := x + uint64(k*cfg.SizeBytes)
+				mixed.Access(evict)
+				scalar.Access(evict)
+			}
+			if mixed.AccessBatch([]uint64{x}) != 0 {
+				t.Fatalf("%v: a batch counted evicted line %#x as a hit", cfg, x)
+			}
+			scalar.Access(x)
+			for _, a := range tr.Addrs {
+				scalar.Access(a)
+			}
+			for lo := 0; lo < len(tr.Addrs); {
+				if rng.Intn(2) == 0 {
+					mixed.Access(tr.Addrs[lo])
+					lo++
+					continue
+				}
+				n := min(rng.Intn(129), len(tr.Addrs)-lo)
+				mixed.AccessBatch(tr.Addrs[lo : lo+n])
+				lo += n
+			}
+			assertCacheEqual(t, cfg.String(), scalar, mixed)
 		}
-		n := min(rng.Intn(129), len(tr.Addrs)-lo)
-		mixed.AccessBatch(tr.Addrs[lo : lo+n])
-		lo += n
 	}
-	assertCacheEqual(t, cfg.String(), scalar, mixed)
 }
 
 // TestAccessBatchMissObserver verifies the miss-observer callback fires
@@ -277,19 +320,26 @@ func TestGroupSimAccessBatch(t *testing.T) {
 }
 
 // FuzzAccessBatch differentially fuzzes the batch kernel against scalar
-// replay: any configuration and batch length the fuzzer draws must agree
-// on hit counts, statistics and final cache state. The corpus seeds the
-// paper's organizations plus the fallback policies and degenerate batch
-// lengths.
+// replay: any configuration, plain or 3C-classifying, and batch length
+// the fuzzer draws must agree on hit counts, statistics (the 3C split
+// included) and final cache state. The corpus seeds the paper's
+// organizations, fully-associative caches, the scalar-loop policies and
+// degenerate batch lengths; 1-address batches carry the kernel's repeat
+// state across every block boundary.
 func FuzzAccessBatch(f *testing.F) {
-	f.Add(uint64(1), uint8(2), uint8(3), uint8(2), uint8(0), uint16(64))   // 4KB 2-way 32B
-	f.Add(uint64(2), uint8(5), uint8(5), uint8(2), uint8(0), uint16(1))    // 32KB 2-way 128B, 1-addr batches
-	f.Add(uint64(3), uint8(7), uint8(5), uint8(1), uint8(0), uint16(4096)) // 128KB direct 128B
-	f.Add(uint64(4), uint8(4), uint8(4), uint8(0), uint8(0), uint16(100))  // 16KB FA (fallback)
-	f.Add(uint64(5), uint8(3), uint8(3), uint8(4), uint8(1), uint16(33))   // 8KB 4-way FIFO (fallback)
-	f.Add(uint64(6), uint8(3), uint8(5), uint8(2), uint8(2), uint16(7))    // 8KB 2-way random (fallback)
+	f.Add(uint64(1), uint8(2), uint8(3), uint8(2), uint8(0), uint16(64), false)   // 4KB 2-way 32B
+	f.Add(uint64(2), uint8(5), uint8(5), uint8(2), uint8(0), uint16(1), false)    // 32KB 2-way 128B, 1-addr batches
+	f.Add(uint64(3), uint8(7), uint8(5), uint8(1), uint8(0), uint16(4096), false) // 128KB direct 128B
+	f.Add(uint64(4), uint8(4), uint8(4), uint8(0), uint8(0), uint16(100), false)  // 16KB FA
+	f.Add(uint64(5), uint8(3), uint8(3), uint8(4), uint8(1), uint16(33), false)   // 8KB 4-way FIFO (scalar loop)
+	f.Add(uint64(6), uint8(3), uint8(5), uint8(2), uint8(2), uint16(7), false)    // 8KB 2-way random (scalar loop)
+	f.Add(uint64(7), uint8(5), uint8(5), uint8(2), uint8(0), uint16(1), true)     // classifying 32KB 2-way 128B, 1-addr batches
+	f.Add(uint64(8), uint8(4), uint8(4), uint8(1), uint8(0), uint16(500), true)   // classifying 16KB direct 64B
+	f.Add(uint64(9), uint8(4), uint8(4), uint8(0), uint8(0), uint16(1), true)     // classifying 16KB FA, 1-addr batches
+	f.Add(uint64(10), uint8(0), uint8(2), uint8(0), uint8(0), uint16(77), true)   // classifying 1KB FA 16B
+	f.Add(uint64(11), uint8(2), uint8(3), uint8(8), uint8(0), uint16(2), true)    // classifying 4KB 8-way 32B
 
-	f.Fuzz(func(t *testing.T, seed uint64, sizeLog, lineLog, ways, policy uint8, batchLen uint16) {
+	f.Fuzz(func(t *testing.T, seed uint64, sizeLog, lineLog, ways, policy uint8, batchLen uint16, classify bool) {
 		cfg := Config{
 			SizeBytes: 1 << (10 + sizeLog%8), // 1KB .. 128KB
 			LineBytes: 1 << (2 + lineLog%7),  // 4B .. 256B
@@ -315,8 +365,11 @@ func FuzzAccessBatch(f *testing.F) {
 			}
 		}
 
-		scalar := New(cfg)
-		batch := New(cfg)
+		mk := New
+		if classify {
+			mk = NewClassifying
+		}
+		scalar, batch := mk(cfg), mk(cfg)
 		wantHits := 0
 		for _, a := range addrs {
 			if scalar.Access(a) {
@@ -329,8 +382,38 @@ func FuzzAccessBatch(f *testing.F) {
 			gotHits += batch.AccessBatch(addrs[lo:hi])
 		}
 		if wantHits != gotHits {
-			t.Fatalf("%v batch %d: hit count diverges: scalar %d batch %d", cfg, n, wantHits, gotHits)
+			t.Fatalf("%v classify=%v batch %d: hit count diverges: scalar %d batch %d", cfg, classify, n, wantHits, gotHits)
 		}
 		assertCacheEqual(t, cfg.String(), scalar, batch)
 	})
+}
+
+// TestAccessBatchAfterFlush replays batch, Flush, batch against the same
+// sequence through scalar Access. The second batch starts on the line
+// the first one ended on, so a kernel that kept its repeat state across
+// Flush would count the flushed line as a hit.
+func TestAccessBatchAfterFlush(t *testing.T) {
+	tr := diffTrace(17, 3000)
+	first := append(append([]uint64{}, tr.Addrs...), 1<<20)
+	second := append([]uint64{1<<20 + 4}, tr.Addrs...)
+	for _, cfg := range []Config{
+		{SizeBytes: 4 << 10, LineBytes: 64, Ways: 2},
+		{SizeBytes: 2 << 10, LineBytes: 32, Ways: 1},
+		{SizeBytes: 4 << 10, LineBytes: 64, Ways: 0},
+	} {
+		for _, mk := range []func(Config) *Cache{New, NewClassifying} {
+			scalar, batch := mk(cfg), mk(cfg)
+			for _, a := range first {
+				scalar.Access(a)
+			}
+			scalar.Flush()
+			for _, a := range second {
+				scalar.Access(a)
+			}
+			batch.AccessBatch(first)
+			batch.Flush()
+			batch.AccessBatch(second)
+			assertCacheEqual(t, cfg.String(), scalar, batch)
+		}
+	}
 }

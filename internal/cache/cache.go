@@ -228,6 +228,12 @@ type Cache struct {
 
 	// rng drives Random replacement; deterministic so runs reproduce.
 	rng uint64
+
+	// last is the line the batch kernel touched last, invalidTag when
+	// none, and lastWay its index into tags and stamps. Scalar Access
+	// and Flush clear it.
+	last    uint64
+	lastWay int
 }
 
 // New returns a cache simulator for cfg. It panics if cfg is invalid,
@@ -249,6 +255,7 @@ func TryNew(cfg Config) (*Cache, error) {
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		ways:      cfg.Ways,
+		last:      invalidTag,
 		rng:       0x9E3779B97F4A7C15,
 	}
 	if cfg.Ways == 0 {
@@ -310,6 +317,7 @@ func (c *Cache) Flush() {
 	if c.shadow != nil {
 		c.shadow.reset()
 	}
+	c.last = invalidTag
 }
 
 // Access presents one texel byte address to the cache and returns true on
@@ -318,6 +326,7 @@ func (c *Cache) Access(addr uint64) bool {
 	lineAddr := addr >> c.lineShift
 	c.stats.Accesses++
 	c.clock++
+	c.last = invalidTag
 
 	var hit bool
 	if c.full != nil {
@@ -360,13 +369,13 @@ func (c *Cache) Access(addr uint64) bool {
 // AccessBatch presents every address of addrs to the cache in order,
 // exactly as len(addrs) Access calls would, and returns the number of
 // hits. The replay paths hand whole blocks here instead of making one
-// interface call per address. The dominant sweep shape — a set-
-// associative LRU cache without 3C classification or a miss observer —
-// takes a specialized loop that keeps the tag-array geometry and the
-// clock in registers; every other organization falls back to the scalar
-// kernel. Final cache state and statistics are bit-identical either way.
+// interface call per address. Every LRU cache without a miss observer —
+// set-associative or fully associative, plain or 3C-classifying —
+// takes a block kernel; FIFO, random and miss-observed caches keep the
+// scalar loop. Final cache state and statistics are bit-identical
+// either way.
 func (c *Cache) AccessBatch(addrs []uint64) int {
-	if c.full != nil || c.everLoaded != nil || c.onMiss != nil || c.cfg.Policy != LRU {
+	if c.onMiss != nil || c.cfg.Policy != LRU {
 		hits := 0
 		for _, a := range addrs {
 			if c.Access(a) {
@@ -375,49 +384,123 @@ func (c *Cache) AccessBatch(addrs []uint64) int {
 		}
 		return hits
 	}
+	var hits int
+	if c.full != nil {
+		hits = c.batchFull(addrs)
+	} else {
+		hits = c.batchSets(addrs)
+	}
+	c.stats.Accesses += uint64(len(addrs))
+	c.stats.Misses += uint64(len(addrs) - hits)
+	return hits
+}
+
+// batchSets is the block kernel of a set-associative LRU cache, with
+// the geometry and the clock in registers. A repeat of the previous
+// line hits in the cache and in the 3C shadow and reorders neither, so
+// it only refreshes its way's stamp. Any other access probes its set as
+// Access does; a classifying cache then touches the shadow on a hit
+// and classifies a miss.
+func (c *Cache) batchSets(addrs []uint64) int {
 	shift, mask, ways := c.lineShift, c.setMask, c.ways
-	tags, stamps := c.tags, c.stamps
-	clock := c.clock
+	tags, stamps, shadow := c.tags, c.stamps, c.shadow
+	classify := c.everLoaded != nil
+	clock, last, lastWay := c.clock, c.last, c.lastWay
 	hits := 0
 	for _, addr := range addrs {
 		lineAddr := addr >> shift
 		clock++
-		base := int(lineAddr&mask) * ways
-		set := tags[base : base+ways : base+ways]
-		victim := -1
-		hit := false
-		for i, tag := range set {
-			if tag == lineAddr {
-				stamps[base+i] = clock
-				hit = true
-				break
-			}
-			if tag == invalidTag && victim == -1 {
-				victim = i
-			}
-		}
-		if hit {
+		if lineAddr == last {
+			stamps[lastWay] = clock
 			hits++
 			continue
 		}
-		if victim == -1 {
-			st := stamps[base : base+ways : base+ways]
-			oldest := st[0]
-			victim = 0
-			for i := 1; i < len(st); i++ {
-				if st[i] < oldest {
-					oldest = st[i]
-					victim = i
-				}
+		base := int(lineAddr&mask) * ways
+		set := tags[base : base+ways : base+ways]
+		way, hit := -1, false
+		for i, tag := range set {
+			if tag == lineAddr {
+				way, hit = i, true
+				break
+			}
+			if tag == invalidTag && way == -1 {
+				way = i
 			}
 		}
-		set[victim] = lineAddr
-		stamps[base+victim] = clock
+		if !hit {
+			if way == -1 {
+				st := stamps[base : base+ways : base+ways]
+				oldest := st[0]
+				way = 0
+				for i := 1; i < len(st); i++ {
+					if st[i] < oldest {
+						oldest = st[i]
+						way = i
+					}
+				}
+			}
+			set[way] = lineAddr
+		}
+		stamps[base+way] = clock
+		last, lastWay = lineAddr, base+way
+		switch {
+		case hit:
+			hits++
+			if shadow != nil {
+				shadow.access(lineAddr)
+			}
+		case classify:
+			c.classifyMiss(lineAddr)
+		}
 	}
-	c.clock = clock
-	c.stats.Accesses += uint64(len(addrs))
-	c.stats.Misses += uint64(len(addrs) - hits)
+	c.clock, c.last, c.lastWay = clock, last, lastWay
 	return hits
+}
+
+// batchFull is the block kernel of a fully-associative LRU cache. A
+// repeat of the previous line is already the most recent entry, so it
+// hits without the index lookup.
+func (c *Cache) batchFull(addrs []uint64) int {
+	shift, full := c.lineShift, c.full
+	classify := c.everLoaded != nil
+	last := c.last
+	hits := 0
+	for _, addr := range addrs {
+		lineAddr := addr >> shift
+		if lineAddr == last {
+			hits++
+			continue
+		}
+		last = lineAddr
+		switch {
+		case full.access(lineAddr):
+			hits++
+		case classify:
+			c.classifyMiss(lineAddr)
+		}
+	}
+	c.clock += uint64(len(addrs))
+	c.last = last
+	return hits
+}
+
+// classifyMiss splits a miss of line lineAddr into cold, capacity or
+// conflict exactly as Access does, keeping the 3C shadow in step.
+func (c *Cache) classifyMiss(lineAddr uint64) {
+	switch {
+	case !c.everLoaded[lineAddr]:
+		c.everLoaded[lineAddr] = true
+		c.stats.Cold++
+		if c.shadow != nil {
+			c.shadow.access(lineAddr)
+		}
+	case c.shadow == nil: // fully associative: no conflicts by definition
+		c.stats.Capacity++
+	case c.shadow.access(lineAddr):
+		c.stats.Conflict++
+	default:
+		c.stats.Capacity++
+	}
 }
 
 func (c *Cache) accessSetAssoc(lineAddr uint64) bool {

@@ -6,22 +6,37 @@ import (
 	"testing"
 )
 
-// FuzzSimulateConfigsGrouped differentially fuzzes the grouped
-// single-pass simulator against per-configuration serial simulation: any
-// (seed, size, line, ways, policy) drawn by the fuzzer that validates
-// must produce bit-identical Stats both ways. The seed corpus pins the
-// paper's evaluation points: the Table 6.x / 7.1 organizations (4KB
+// FuzzSimulateConfigsGrouped differentially fuzzes the grouped sweep
+// against per-configuration serial simulation: any (seed, size, line,
+// ways, policy) drawn by the fuzzer that validates, plus the extra LRU
+// configurations that lines asks for, must produce bit-identical Stats
+// both ways. lines holds two bits per line size, 4B to 256B: how many
+// extra LRU configurations that line size gets, with sizes and ways
+// drawn from the seed. A line size left with one LRU configuration
+// replays it on its own cache, and one with several shares a grouped
+// walk, so the seeds mix both routes in one sweep. The first seeds pin
+// the paper's evaluation points: the Table 6.x / 7.1 organizations (4KB
 // 2-way, 32KB 2-way, 128KB direct-mapped) across 32/64/128-byte lines.
 func FuzzSimulateConfigsGrouped(f *testing.F) {
-	f.Add(uint64(1), uint8(2), uint8(3), uint8(2), uint8(0)) // 4KB  2-way   32B
-	f.Add(uint64(2), uint8(2), uint8(4), uint8(2), uint8(0)) // 4KB  2-way   64B
-	f.Add(uint64(3), uint8(5), uint8(5), uint8(2), uint8(0)) // 32KB 2-way  128B
-	f.Add(uint64(4), uint8(7), uint8(5), uint8(1), uint8(0)) // 128KB direct 128B
-	f.Add(uint64(5), uint8(4), uint8(4), uint8(0), uint8(0)) // 16KB FA      64B
-	f.Add(uint64(6), uint8(3), uint8(3), uint8(4), uint8(1)) // 8KB 4-way FIFO (fallback)
-	f.Add(uint64(7), uint8(3), uint8(5), uint8(2), uint8(2)) // 8KB 2-way random (fallback)
+	f.Add(uint64(1), uint8(2), uint8(3), uint8(2), uint8(0), uint16(0)) // 4KB  2-way   32B
+	f.Add(uint64(2), uint8(2), uint8(4), uint8(2), uint8(0), uint16(0)) // 4KB  2-way   64B
+	f.Add(uint64(3), uint8(5), uint8(5), uint8(2), uint8(0), uint16(0)) // 32KB 2-way  128B
+	f.Add(uint64(4), uint8(7), uint8(5), uint8(1), uint8(0), uint16(0)) // 128KB direct 128B
+	f.Add(uint64(5), uint8(4), uint8(4), uint8(0), uint8(0), uint16(0)) // 16KB FA      64B
+	f.Add(uint64(6), uint8(3), uint8(3), uint8(4), uint8(1), uint16(0)) // 8KB 4-way FIFO (own cache)
+	f.Add(uint64(7), uint8(3), uint8(5), uint8(2), uint8(2), uint16(0)) // 8KB 2-way random (own cache)
+	// 32KB 2-way 128B alone at its line size, three more at 64B: one
+	// own cache beside a grouped walk, as cold-sweep's pair and a curve
+	// sweep would meet in one request.
+	f.Add(uint64(8), uint8(5), uint8(5), uint8(2), uint8(0), uint16(3<<(2*4)))
+	// 16KB direct 64B joined by one more 64B config (a walk of two),
+	// one alone at 32B and two at 256B.
+	f.Add(uint64(9), uint8(4), uint8(4), uint8(1), uint8(0), uint16(1<<(2*4)|1<<(2*3)|2<<(2*6)))
+	// FIFO at 32B beside one LRU there (its own cache) and a walk of
+	// three at 128B.
+	f.Add(uint64(10), uint8(3), uint8(3), uint8(4), uint8(1), uint16(1<<(2*3)|3<<(2*5)))
 
-	f.Fuzz(func(t *testing.T, seed uint64, sizeLog, lineLog, ways, policy uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, sizeLog, lineLog, ways, policy uint8, lines uint16) {
 		cfg := Config{
 			SizeBytes: 1 << (10 + sizeLog%8), // 1KB .. 128KB
 			LineBytes: 1 << (2 + lineLog%7),  // 4B .. 256B
@@ -45,13 +60,28 @@ func FuzzSimulateConfigsGrouped(f *testing.F) {
 				tr.Access(base)
 			}
 		}
-		want := tr.SimulateConfigs([]Config{cfg})
-		got, err := SimulateConfigsGroupedStream(context.Background(), tr, []Config{cfg})
+		cfgs := []Config{cfg}
+		for l := 0; l < 7; l++ {
+			for n := int(lines>>(2*l)) & 3; n > 0; n-- {
+				extra := Config{
+					SizeBytes: 1 << (10 + rng.Intn(8)),
+					LineBytes: 4 << l,
+					Ways:      []int{0, 1, 2, 4, 8}[rng.Intn(5)],
+				}
+				if extra.Validate() == nil {
+					cfgs = append(cfgs, extra)
+				}
+			}
+		}
+		want := tr.SimulateConfigs(cfgs)
+		got, err := SimulateConfigsGroupedStream(context.Background(), tr, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[0] != want[0] {
-			t.Fatalf("%+v: grouped %+v != serial %+v", cfg, got[0], want[0])
+		for i := range cfgs {
+			if got[i] != want[i] {
+				t.Fatalf("%+v in %v: grouped %+v != serial %+v", cfgs[i], cfgs, got[i], want[i])
+			}
 		}
 	})
 }

@@ -293,31 +293,41 @@ func (g *groupSim) statsAt(slot int) Stats {
 }
 
 // sweepPlan routes each configuration of a grouped sweep to either a
-// per-line-size group simulator or a per-configuration fallback cache.
+// per-line-size group simulator or a cache of its own.
 type sweepPlan struct {
-	groups    map[int]*groupSim // keyed by line size
-	fallbacks []*Cache
-	gsFor     []*groupSim // per config: its group, or nil when fallback
-	slot      []int       // per config: index within its group or fallbacks
+	groups map[int]*groupSim // keyed by line size
+	caches []*Cache          // configurations replayed on their own cache
+	gsFor  []*groupSim       // per config: its group, or nil for its own cache
+	slot   []int             // per config: index within its group or caches
 }
 
-// planSweep validates cfgs and builds the routing plan. Configurations
-// using LRU replacement are always coverable (Validate guarantees
-// power-of-two set counts); FIFO and random replacement depend on more
-// than the recency order, so they fall back to a dedicated Cache —
-// classifying when classify is set, as SimulateConfigs builds, and plain
-// otherwise, because a rate-only sweep never reads the 3C split.
+// planSweep validates cfgs and builds the routing plan. A line size
+// that carries two or more LRU configurations shares one grouped walk
+// among them (Validate guarantees power-of-two set counts). A line size
+// with a single LRU configuration replays it on its own cache instead:
+// the walk costs about the same per access whatever it answers, and
+// Cache.AccessBatch answers one configuration for less. FIFO and random
+// replacement depend on more than the recency order, so they too take
+// a cache each. Every own cache is classifying when classify is set, as
+// SimulateConfigs builds, and plain otherwise, because a rate-only
+// sweep never reads the 3C split.
 func planSweep(cfgs []Config, classify bool) (*sweepPlan, error) {
+	lru := map[int]int{} // LRU configurations per line size
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		if cfg.Policy == LRU {
+			lru[cfg.LineBytes]++
+		}
+	}
 	p := &sweepPlan{
 		groups: map[int]*groupSim{},
 		gsFor:  make([]*groupSim, len(cfgs)),
 		slot:   make([]int, len(cfgs)),
 	}
 	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Policy == LRU {
+		if cfg.Policy == LRU && lru[cfg.LineBytes] > 1 {
 			g := p.groups[cfg.LineBytes]
 			if g == nil {
 				g = newGroupSim(cfg.LineBytes)
@@ -327,24 +337,18 @@ func planSweep(cfgs []Config, classify bool) (*sweepPlan, error) {
 			p.slot[i] = g.add(cfg)
 			continue
 		}
-		var c *Cache
-		var err error
+		c := New(cfg)
 		if classify {
-			c, err = TryNewClassifying(cfg)
-		} else {
-			c, err = TryNew(cfg)
+			c = NewClassifying(cfg)
 		}
-		if err != nil {
-			return nil, err
-		}
-		p.slot[i] = len(p.fallbacks)
-		p.fallbacks = append(p.fallbacks, c)
+		p.slot[i] = len(p.caches)
+		p.caches = append(p.caches, c)
 	}
 
-	grouped := len(cfgs) - len(p.fallbacks)
+	grouped := len(cfgs) - len(p.caches)
 	reg := obs.Default().Sub("groupsim")
 	reg.Counter("grouped_configs").Add(uint64(grouped))
-	reg.Counter("fallback_configs").Add(uint64(len(p.fallbacks)))
+	reg.Counter("fallback_configs").Add(uint64(len(p.caches)))
 	if grouped > len(p.groups) {
 		// Walks the grouping avoided versus per-config simulation.
 		reg.Counter("passes_saved").Add(uint64(grouped - len(p.groups)))
@@ -354,11 +358,11 @@ func planSweep(cfgs []Config, classify bool) (*sweepPlan, error) {
 
 // sinks returns every simulator of the plan as a replayable Sink list.
 func (p *sweepPlan) sinks() []Sink {
-	out := make([]Sink, 0, len(p.groups)+len(p.fallbacks))
+	out := make([]Sink, 0, len(p.groups)+len(p.caches))
 	for _, g := range p.groups {
 		out = append(out, g)
 	}
-	for _, c := range p.fallbacks {
+	for _, c := range p.caches {
 		out = append(out, c.Sink())
 	}
 	return out
@@ -372,7 +376,7 @@ func (p *sweepPlan) stats() []Stats {
 		if g != nil {
 			out[i] = g.statsAt(p.slot[i])
 		} else {
-			out[i] = p.fallbacks[p.slot[i]].Stats()
+			out[i] = p.caches[p.slot[i]].Stats()
 		}
 	}
 	return out

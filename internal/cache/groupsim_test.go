@@ -178,8 +178,63 @@ func TestGroupedCancellation(t *testing.T) {
 	}
 }
 
-// TestGroupsimObsCounters verifies the sweep planner accounts grouped
-// configurations, fallbacks and saved passes in the groupsim namespace.
+// TestLoneConfigRouteMatchesGroupSim checks the route a line size with
+// a single LRU configuration takes against the grouped walk, which
+// shares no code with the batch kernel: the classifying cache of
+// SimulateConfigsGroupedStream and the plain one of
+// MissRatesGroupedStream must each equal a groupSim carrying just that
+// configuration, on both stream forms.
+func TestLoneConfigRouteMatchesGroupSim(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(31))
+	tr := diffTrace(31, 40000)
+	var cfgs []Config
+	for _, cfg := range randomConfigs(rng, 48) {
+		if cfg.Policy == LRU {
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	cfgs = append(cfgs,
+		Config{SizeBytes: 32 << 10, LineBytes: 128, Ways: 2},
+		Config{SizeBytes: 16 << 10, LineBytes: 64, Ways: 1},
+		Config{SizeBytes: 32 << 10, LineBytes: 128, Ways: 0},
+		Config{SizeBytes: 256, LineBytes: 64, Ways: 4}, // one set
+	)
+	for _, cfg := range cfgs {
+		p, err := planSweep([]Config{cfg}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.groups) != 0 || len(p.caches) != 1 {
+			t.Fatalf("%v: planned %d walks and %d caches, want its own cache", cfg, len(p.groups), len(p.caches))
+		}
+		g := newGroupSim(cfg.LineBytes)
+		slot := g.add(cfg)
+		ReplayStream(tr, g)
+		want := g.statsAt(slot)
+		for _, f := range bothForms(tr) {
+			got, err := SimulateConfigsGroupedStream(ctx, f.s, []Config{cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != want {
+				t.Errorf("%v %s: own cache %+v != walk %+v", cfg, f.name, got[0], want)
+			}
+			rate, err := MissRatesGroupedStream(ctx, f.s, []Config{cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rate[0] != want.MissRate() {
+				t.Errorf("%v %s: own cache rate %v != walk %v", cfg, f.name, rate[0], want.MissRate())
+			}
+		}
+	}
+}
+
+// TestGroupsimObsCounters verifies the sweep planner's accounting in the
+// groupsim namespace: configurations sharing a grouped walk, those
+// replayed on their own cache (a lone LRU configuration at its line
+// size, FIFO and random), and the walks the grouping saved.
 func TestGroupsimObsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.Attach(reg)
@@ -189,21 +244,21 @@ func TestGroupsimObsCounters(t *testing.T) {
 	cfgs := []Config{
 		{SizeBytes: 4 << 10, LineBytes: 32, Ways: 2},                 // grouped (32B)
 		{SizeBytes: 8 << 10, LineBytes: 32, Ways: 4},                 // grouped (32B, same walk)
-		{SizeBytes: 8 << 10, LineBytes: 64, Ways: 0},                 // grouped (64B)
-		{SizeBytes: 4 << 10, LineBytes: 32, Ways: 2, Policy: FIFO},   // fallback
-		{SizeBytes: 4 << 10, LineBytes: 32, Ways: 2, Policy: Random}, // fallback
+		{SizeBytes: 8 << 10, LineBytes: 64, Ways: 0},                 // own cache: the only 64B LRU config
+		{SizeBytes: 4 << 10, LineBytes: 32, Ways: 2, Policy: FIFO},   // own cache
+		{SizeBytes: 4 << 10, LineBytes: 32, Ways: 2, Policy: Random}, // own cache
 	}
 	if _, err := SimulateConfigsGroupedStream(context.Background(), tr, cfgs); err != nil {
 		t.Fatal(err)
 	}
 	gs := reg.Sub("groupsim")
-	if got := gs.Counter("grouped_configs").Value(); got != 3 {
-		t.Errorf("groupsim.grouped_configs = %d, want 3", got)
+	if got := gs.Counter("grouped_configs").Value(); got != 2 {
+		t.Errorf("groupsim.grouped_configs = %d, want 2", got)
 	}
-	if got := gs.Counter("fallback_configs").Value(); got != 2 {
-		t.Errorf("groupsim.fallback_configs = %d, want 2", got)
+	if got := gs.Counter("fallback_configs").Value(); got != 3 {
+		t.Errorf("groupsim.fallback_configs = %d, want 3", got)
 	}
-	// 3 grouped configs over 2 line-size groups: one walk saved.
+	// 2 grouped configs on one walk: one walk saved.
 	if got := gs.Counter("passes_saved").Value(); got != 1 {
 		t.Errorf("groupsim.passes_saved = %d, want 1", got)
 	}

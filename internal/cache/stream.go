@@ -19,7 +19,9 @@ import (
 //   - ReplayStreamConcurrent feeds it to every sink at once, one
 //     goroutine and one cursor per sink.
 //   - SimulateConfigsGroupedStream answers a configuration sweep with
-//     classified statistics from one grouped walk per line size.
+//     classified statistics from one pass per line size: a grouped walk
+//     when the line size carries several LRU configurations, the
+//     configuration's own cache when it carries one.
 //   - MissRatesGroupedStream answers the same sweep with miss rates only.
 //
 // Trace.SimulateConfigs, one classifying cache per configuration in
@@ -120,14 +122,15 @@ func ReplayStreamConcurrent(ctx context.Context, s AddrStream, sinks ...Sink) er
 }
 
 // SimulateConfigsGroupedStream answers a whole configuration sweep in a
-// single concurrent pass over the stream. Every LRU configuration
-// sharing a line size takes its statistics (hits, misses and the
-// cold/capacity/conflict split) from one generalized stack simulation of
-// that line size; FIFO and random replacement, which the stack algorithm
-// cannot cover, fall back to a classifying cache each within the same
-// pass. Results are bit-identical to Trace.SimulateConfigs and
-// index-aligned with cfgs. Invalid configurations surface as
-// *ConfigError before any replay work.
+// single concurrent pass over the stream. The LRU configurations of a
+// line size that carries two or more take their statistics (hits,
+// misses and the cold/capacity/conflict split) from one generalized
+// stack simulation of that line size; a line size's lone LRU
+// configuration, and FIFO and random replacement, which the stack
+// algorithm cannot cover, each replay on a classifying cache of their
+// own within the same pass. Results are bit-identical to
+// Trace.SimulateConfigs and index-aligned with cfgs. Invalid
+// configurations surface as *ConfigError before any replay work.
 func SimulateConfigsGroupedStream(ctx context.Context, s AddrStream, cfgs []Config) ([]Stats, error) {
 	p, err := planSweep(cfgs, true)
 	if err != nil {
@@ -141,9 +144,10 @@ func SimulateConfigsGroupedStream(ctx context.Context, s AddrStream, cfgs []Conf
 
 // MissRatesGroupedStream is the rate-only form of
 // SimulateConfigsGroupedStream: the miss rate of every configuration,
-// index-aligned with cfgs. Its FIFO and random fallbacks are plain
-// caches that skip the 3C shadow, so a sweep that only plots miss rates
-// pays nothing for the classification it would discard.
+// index-aligned with cfgs. The configurations it replays on their own
+// cache get plain caches that skip the 3C shadow, so a sweep that only
+// plots miss rates pays nothing for the classification it would
+// discard.
 func MissRatesGroupedStream(ctx context.Context, s AddrStream, cfgs []Config) ([]float64, error) {
 	p, err := planSweep(cfgs, false)
 	if err != nil {

@@ -150,7 +150,9 @@ func flushReplay(reg *obs.Registry, start time.Time, addrs uint64, timer string)
 // configuration, one configuration after another, and returns the
 // resulting statistics, index-aligned with cfgs. It is the serial oracle
 // the grouped sweeps are checked against; sweeps that must be fast use
-// SimulateConfigsGroupedStream.
+// SimulateConfigsGroupedStream. It feeds each cache one address at a
+// time through the scalar Access, so the oracle never runs the batch
+// kernel that a sweep's own caches run.
 func (t *Trace) SimulateConfigs(cfgs []Config) []Stats {
 	reg := obs.Default()
 	var start time.Time
@@ -160,7 +162,9 @@ func (t *Trace) SimulateConfigs(cfgs []Config) []Stats {
 	out := make([]Stats, len(cfgs))
 	for i, cfg := range cfgs {
 		c := NewClassifying(cfg)
-		c.AccessBatch(t.Addrs)
+		for _, a := range t.Addrs {
+			c.Access(a)
+		}
 		out[i] = c.Stats()
 	}
 	if reg != nil {
