@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"texcache"
 )
@@ -294,6 +295,75 @@ func TestHandlerResultDirPersists(t *testing.T) {
 	}
 	if s2.results.Produced() != 0 || s2.results.StoreHits() != 1 {
 		t.Errorf("restart re-simulated: produced %d storeHits %d", s2.results.Produced(), s2.results.StoreHits())
+	}
+}
+
+// TestHandlerCoalescedClientSurvivesHangUp: a client coalesced onto
+// another client's run gets the full stream, byte-identical to a fresh
+// run, when the client that started the run hangs up before it ends.
+func TestHandlerCoalescedClientSurvivesHangUp(t *testing.T) {
+	s, ts := testServer(t, serverConfig{Workers: 2})
+	body := `{"experiments":["parallel","fig6.4"],"scale":8}`
+
+	actx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		req, err := http.NewRequestWithContext(actx, http.MethodPost, ts.URL+"/v1/experiments", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("the first client's run", func() bool { return s.results.Misses() == 1 })
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	bDone := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(body))
+		if err != nil {
+			bDone <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		bDone <- reply{status: resp.StatusCode, body: b, err: err}
+	}()
+	// Client B holds the second scheduler slot once admitted, and goes
+	// from there straight to the result cache to wait on A's run.
+	waitFor("the second client's admission", func() bool {
+		s.sched.mu.Lock()
+		defer s.sched.mu.Unlock()
+		return s.sched.slots == 0
+	})
+	hangUp()
+	<-aDone
+
+	b := <-bDone
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+	if b.status != http.StatusOK {
+		t.Fatalf("coalesced client: status %d, body %s (produced %d, coalesced %d)",
+			b.status, b.body, s.results.Produced(), s.results.Coalesced())
+	}
+	if want := texsimNDJSON(t, body); !bytes.Equal(b.body, want) {
+		t.Errorf("coalesced client got %d bytes, a fresh run %d; streams differ", len(b.body), len(want))
 	}
 }
 

@@ -24,13 +24,17 @@ import (
 // fakeWorkerEnv names a directory when the test binary is re-executed as
 // a coordinator worker: TestMain then runs fakeWorker instead of the
 // tests. fakeCoordinatorEnv does the same for a whole coordinator over
-// fake workers.
+// fake workers, and texsimEnv runs texsim itself on the arguments.
 const (
 	fakeWorkerEnv      = "TEXSIM_TEST_FAKE_WORKER_DIR"
 	fakeCoordinatorEnv = "TEXSIM_TEST_FAKE_COORDINATOR_DIR"
+	texsimEnv          = "TEXSIM_TEST_RUN_MAIN"
 )
 
 func TestMain(m *testing.M) {
+	if os.Getenv(texsimEnv) != "" {
+		os.Exit(run())
+	}
 	if dir := os.Getenv(fakeCoordinatorEnv); dir != "" {
 		os.Exit(fakeCoordinator(dir))
 	}

@@ -263,7 +263,7 @@ func run() int {
 	flag.IntVar(&f.renderW, "render-workers", 0, "tile-parallel rasterization workers per render (0 = GOMAXPROCS, 1 = serial; traces are bit-identical at any setting)")
 	jsonOut := flag.Bool("json", false, "emit NDJSON rows on stdout instead of text tables")
 	metrics := flag.String("metrics", "", "serve /debug/vars and /debug/pprof on this address (e.g. :8080, :0)")
-	progress := flag.Bool("progress", false, "print per-experiment completion lines on stderr")
+	progress := flag.Bool("progress", false, "print a completion line on stderr per experiment, sweep, architecture comparison or grid trace group")
 	flag.StringVar(&f.requestFile, "request", "", "run a JSON ExperimentRequest from this file ('-' = stdin), the texserve wire form")
 	flag.StringVar(&f.arch, "arch", "", "compare cycle-level texture-unit pipelines (blocking, prefetch or both) over the single -scenes scene")
 	flag.IntVar(&f.archFIFO, "arch-fifo", 0, "fragment FIFO depth in fragments for -arch (0 = the paper's 64)")

@@ -22,13 +22,16 @@ const (
 // final; waiters block on it (or their context) instead of holding the
 // lock through a production. elem is the entry's LRU node, nil while the
 // production is in flight, so an in-flight entry is never evicted.
+// abandoned records that the producer's own context had ended when its
+// failed production returned: the error is its caller's, not the key's.
 type memoEntry[K comparable, V any] struct {
-	key   K
-	ready chan struct{}
-	val   V
-	size  int64
-	err   error
-	elem  *list.Element
+	key       K
+	ready     chan struct{}
+	val       V
+	size      int64
+	err       error
+	abandoned bool
+	elem      *list.Element
 }
 
 // Memo memoizes values by key with single-flight semantics: concurrent
@@ -66,12 +69,19 @@ func NewMemo[K comparable, V any](maxEntries int, maxBytes int64, onEvict func()
 // for it, or returns ctx.Err() when ctx ends first while the production
 // goes on for whoever still wants it. Otherwise the call runs produce,
 // which returns the value and its size in bytes, and installs the result.
-// A failed production is dropped, so a later call retries, and its
-// waiters get its error. Eviction runs from the back of the LRU while
-// either budget is exceeded, but never evicts the sole entry.
+// ctx is the context produce runs under. A failed production is
+// dropped, so a later call retries. Its waiters get its error, unless
+// the producer's ctx had ended by the time it failed: a waiter whose own
+// ctx is still live then calls again, producing the value itself or
+// joining the next production. Eviction runs from the back of the LRU
+// while either budget is exceeded, but never evicts the sole entry.
 func (m *Memo[K, V]) Do(ctx context.Context, key K, produce func() (V, int64, error)) (V, Outcome, error) {
 	m.mu.Lock()
-	if e, ok := m.entries[key]; ok {
+	for {
+		e, ok := m.entries[key]
+		if !ok {
+			break
+		}
 		if e.elem != nil {
 			m.lru.MoveToFront(e.elem)
 			m.mu.Unlock()
@@ -80,11 +90,16 @@ func (m *Memo[K, V]) Do(ctx context.Context, key K, produce func() (V, int64, er
 		m.mu.Unlock()
 		select {
 		case <-e.ready:
-			return e.val, Coalesced, e.err
+			if !e.abandoned {
+				return e.val, Coalesced, e.err
+			}
 		case <-ctx.Done():
-			var zero V
-			return zero, Coalesced, ctx.Err()
 		}
+		if err := ctx.Err(); err != nil {
+			var zero V
+			return zero, Coalesced, err
+		}
+		m.mu.Lock()
 	}
 	e := &memoEntry[K, V]{key: key, ready: make(chan struct{})}
 	m.entries[key] = e
@@ -94,6 +109,7 @@ func (m *Memo[K, V]) Do(ctx context.Context, key K, produce func() (V, int64, er
 	evicted := 0
 	m.mu.Lock()
 	if e.err != nil {
+		e.abandoned = ctx.Err() != nil
 		delete(m.entries, key)
 	} else {
 		e.elem = m.lru.PushFront(e)

@@ -121,6 +121,48 @@ func TestMemoFailedProductionNotMemoized(t *testing.T) {
 	}
 }
 
+// TestMemoAbandonedProductionRetried: a production that fails because
+// its producer's context ended does not fail a waiter whose own context
+// is live. The waiter calls again and produces the value itself.
+func TestMemoAbandonedProductionRetried(t *testing.T) {
+	m := NewMemo[string, string](8, 1<<20, func() {})
+	pctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := m.Do(pctx, "k", func() (string, int64, error) {
+			close(started)
+			<-pctx.Done()
+			return "", 0, pctx.Err()
+		})
+		done <- err
+	}()
+	<-started
+	ctx := &waitingCtx{Context: context.Background(), waiting: make(chan struct{})}
+	type call struct {
+		v   string
+		o   Outcome
+		err error
+	}
+	waiter := make(chan call, 1)
+	var runs atomic.Int64
+	go func() {
+		v, o, err := m.Do(ctx, "k", value("v", 1, &runs))
+		waiter <- call{v, o, err}
+	}()
+	<-ctx.waiting
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("producer err = %v, want context.Canceled", err)
+	}
+	if c := <-waiter; c.err != nil || c.o != Produced || c.v != "v" {
+		t.Fatalf("live waiter: %q outcome %v err %v, want v Produced by its own call", c.v, c.o, c.err)
+	}
+	if runs.Load() != 1 || m.Len() != 1 {
+		t.Errorf("runs %d Len %d, want the waiter's one production installed", runs.Load(), m.Len())
+	}
+}
+
 func TestMemoCancelledWaiter(t *testing.T) {
 	m := NewMemo[string, string](8, 1<<20, func() {})
 	started, release := make(chan struct{}), make(chan struct{})

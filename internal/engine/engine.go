@@ -3,9 +3,10 @@
 // a keyed single-flight trace cache renders each (scene, layout,
 // traversal) stream once for every experiment that needs it, and the
 // cache layer's concurrent replay lets one pass over a trace feed a
-// whole sweep of cache configurations. Results stream back on a channel
-// as experiments finish, tagged with their position in the request so
-// callers can re-serialize deterministic output.
+// whole sweep of cache configurations. Every request kind becomes a list
+// of jobs that one scheduler runs; results stream back on a channel as
+// jobs finish, tagged with their position in the request so callers can
+// re-serialize deterministic output.
 package engine
 
 import (
@@ -20,33 +21,35 @@ import (
 	"texcache/internal/trace"
 )
 
-// Result is one finished experiment. Index is the experiment's position
-// in the requested ID list, so a consumer that wants the serial order
-// can reorder the stream by Index.
+// Result is one finished job: an experiment of a batch, a sweep, an
+// architecture comparison or one trace group of a grid. Index is the
+// job's position in the request (an experiment's in the requested ID
+// list), so a consumer that wants the serial order can reorder the
+// stream by Index.
 type Result struct {
 	Index   int
 	ID      string
 	Title   string
-	Output  string // the text rendering of everything the experiment emitted
-	Err     error  // non-nil if the experiment failed or was cancelled
+	Output  string // the text rendering of everything the job emitted
+	Err     error  // non-nil if the job failed or was cancelled
 	Elapsed time.Duration
 	// Report is the recorded structured output, replayable into any
 	// report.Reporter (e.g. report.JSON for machine-readable batches).
-	// Nil when the experiment was skipped before running.
+	// Nil when the job was skipped before running.
 	Report *report.Recording
 }
 
-// Progress describes one completed (or skipped) experiment within a
-// running batch, for live progress display.
+// Progress describes one completed (or skipped) job within a running
+// request, for live progress display.
 type Progress struct {
-	// Completed counts experiments finished so far, including this one;
-	// Total is the batch size.
+	// Completed counts jobs finished so far, including this one; Total
+	// is the request's job count.
 	Completed, Total int
-	// ID names the experiment that just finished.
+	// ID names the job that just finished (its Result.ID).
 	ID string
 	// Elapsed is its wall time (zero when skipped before running).
 	Elapsed time.Duration
-	// Err is the experiment's error, nil on success.
+	// Err is the job's error, nil on success.
 	Err error
 }
 
@@ -67,10 +70,11 @@ type Options struct {
 	// bit-identical with or without it. Ignored when the caller supplies
 	// its own Config.Traces provider.
 	TraceDir string
-	// Progress, when non-nil, is called once per finished experiment.
-	// Calls are serialized and Completed is monotonic, but they arrive in
-	// completion order, not request order. The callback runs on an engine
-	// goroutine and must not block on the result channel.
+	// Progress, when non-nil, is called once per finished job of every
+	// request kind. Calls are serialized and Completed is monotonic, but
+	// they arrive in completion order, not request order. The callback
+	// runs on an engine goroutine and must not block on the result
+	// channel.
 	Progress func(Progress)
 	// Traces, when non-nil, is the trace provider installed on every
 	// batch whose Config does not bring its own — the hook through which
@@ -101,7 +105,7 @@ func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 // used by the engine's trace cache (0 = GOMAXPROCS, 1 = serial).
 func WithRenderWorkers(n int) Option { return func(o *Options) { o.RenderWorkers = n } }
 
-// WithProgress installs a per-experiment completion callback.
+// WithProgress installs a per-job completion callback.
 func WithProgress(fn func(Progress)) Option { return func(o *Options) { o.Progress = fn } }
 
 // WithTraceDir attaches a persistent trace store rooted at dir to the
@@ -170,69 +174,99 @@ func (e *Engine) Run(ctx context.Context, ids []string, cfg exp.Config) (<-chan 
 		}
 		cfg.Traces = p
 	}
+	jobs := make([]job, len(exps))
+	for i, ex := range exps {
+		jobs[i] = job{id: ex.ID, title: ex.Title, timer: "experiment",
+			run: func(ctx context.Context, rep report.Reporter) error { return ex.Run(ctx, cfg, rep) }}
+	}
+	return e.runJobs(ctx, jobs, func(sem chan struct{}) { e.prewarm(ctx, exps, cfg, sem) }), nil
+}
 
-	out := make(chan Result, len(exps))
+// job is one unit of scheduled work: an experiment of a batch, a sweep,
+// an architecture comparison, or one trace group of a grid. Its Result
+// carries id and title, and its wall time is recorded in the engine
+// timer named by timer.
+type job struct {
+	id, title string
+	timer     string
+	run       func(ctx context.Context, rep report.Reporter) error
+}
+
+// runJobs runs jobs on a semaphore of Workers slots and streams one
+// Result per job, indexed by its position in jobs, as each finishes; the
+// channel is closed after the last. warm, when non-nil, runs first on
+// the same semaphore. A job still queued when ctx ends is skipped with
+// ctx.Err(). Every job, whatever its kind, moves the queue_depth and
+// busy_workers gauges, counts in engine.experiments and reaches the
+// Progress callback.
+func (e *Engine) runJobs(ctx context.Context, jobs []job, warm func(sem chan struct{})) <-chan Result {
+	out := make(chan Result, len(jobs))
 	sem := make(chan struct{}, e.opts.Workers)
-	var wg sync.WaitGroup
 
-	// Engine-level metrics: queue depth (experiments waiting for a
-	// worker slot), busy workers, and a completion counter. All handles
-	// are nil when no registry is attached, making every update a no-op.
+	// All handles are nil when no registry is attached, making every
+	// update a no-op.
 	reg := obs.Default().Sub("engine")
 	queued := reg.Gauge("queue_depth")
 	busy := reg.Gauge("busy_workers")
 	finished := reg.Counter("experiments")
 
-	// progress serializes the completion callback and keeps Completed
-	// monotonic across concurrently finishing experiments.
+	// finish serializes the completion callback, keeping Completed
+	// monotonic across concurrently finishing jobs.
 	var progressMu sync.Mutex
 	completed := 0
-	progress := func(r Result) {
+	finish := func(r Result) {
 		finished.Inc()
-		if e.opts.Progress == nil {
-			return
+		if e.opts.Progress != nil {
+			progressMu.Lock()
+			completed++
+			e.opts.Progress(Progress{
+				Completed: completed, Total: len(jobs),
+				ID: r.ID, Elapsed: r.Elapsed, Err: r.Err,
+			})
+			progressMu.Unlock()
 		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		completed++
-		e.opts.Progress(Progress{
-			Completed: completed, Total: len(exps),
-			ID: r.ID, Elapsed: r.Elapsed, Err: r.Err,
-		})
+		out <- r
 	}
 
 	go func() {
 		defer close(out)
-		e.prewarm(ctx, exps, cfg, sem)
-		for i, ex := range exps {
+		if warm != nil {
+			warm(sem)
+		}
+		var wg sync.WaitGroup
+		for i, j := range jobs {
 			wg.Add(1)
-			go func(i int, ex exp.Experiment) {
+			go func() {
 				defer wg.Done()
+				r := Result{Index: i, ID: j.id, Title: j.title}
 				queued.Add(1)
 				select {
 				case sem <- struct{}{}:
-					queued.Add(-1)
-					busy.Add(1)
-					defer func() {
-						busy.Add(-1)
-						<-sem
-					}()
 				case <-ctx.Done():
 					queued.Add(-1)
-					r := Result{Index: i, ID: ex.ID, Title: ex.Title, Err: ctx.Err()}
-					progress(r)
-					out <- r
+					r.Err = ctx.Err()
+					finish(r)
 					return
 				}
-				r := runOne(ctx, i, ex, cfg)
-				progress(r)
-				out <- r
-			}(i, ex)
+				queued.Add(-1)
+				busy.Add(1)
+				if r.Err = ctx.Err(); r.Err == nil {
+					rec := &report.Recording{}
+					start := time.Now()
+					r.Err = j.run(ctx, rec)
+					r.Elapsed = time.Since(start)
+					r.Report = rec
+					r.Output = rec.Text()
+					reg.Timer(j.timer).Observe(r.Elapsed)
+				}
+				busy.Add(-1)
+				<-sem
+				finish(r)
+			}()
 		}
 		wg.Wait()
-		obs.Default().Emit("batch.done", "", int64(len(exps)))
 	}()
-	return out, nil
+	return out
 }
 
 // traces resolves the trace provider a batch uses when its Config does
@@ -321,25 +355,4 @@ func (e *Engine) prewarm(ctx context.Context, exps []exp.Experiment, cfg exp.Con
 		}(k)
 	}
 	wg.Wait()
-}
-
-// runOne executes a single experiment, recording its structured output
-// and per-experiment wall time.
-func runOne(ctx context.Context, i int, ex exp.Experiment, cfg exp.Config) Result {
-	r := Result{Index: i, ID: ex.ID, Title: ex.Title}
-	if err := ctx.Err(); err != nil {
-		r.Err = err
-		return r
-	}
-	reg := obs.Default()
-	reg.Emit("experiment.start", ex.ID, 0)
-	rec := &report.Recording{}
-	start := time.Now()
-	r.Err = ex.Run(ctx, cfg, rec)
-	r.Elapsed = time.Since(start)
-	r.Report = rec
-	r.Output = rec.Text()
-	reg.Sub("engine").Timer("experiment").Observe(r.Elapsed)
-	reg.Emit("experiment.done", ex.ID, int64(r.Elapsed))
-	return r
 }

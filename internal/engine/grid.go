@@ -1,18 +1,16 @@
 // Grid-kind requests: the engine enumerates the design-space
-// cross-product through internal/shard, schedules one unit of work per
-// trace group on the worker pool, and emits one result per group whose
-// rows are keyed by content-addressed unit tags. A Shard selection on
-// the request restricts the run to that worker's trace-affine slice;
-// results keep their slice-local indexes, so StreamNDJSON emits each
-// worker's groups in increasing global order and the coordinator's
-// k-way merge can reassemble the canonical stream.
+// cross-product through internal/shard, runs one job per trace group on
+// the shared scheduler, and emits one result per group whose rows are
+// keyed by content-addressed unit tags. A Shard selection on the request
+// restricts the run to that worker's trace-affine slice; results keep
+// their slice-local indexes, so StreamNDJSON emits each worker's groups
+// in increasing global order and the coordinator's k-way merge can
+// reassemble the canonical stream.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"texcache/internal/api"
 	"texcache/internal/cache"
@@ -39,11 +37,10 @@ func gridColumns() []report.Column {
 	}
 }
 
-// runGrid executes a grid-kind request: enumerate, take this shard's
-// slice, and run each trace group through the worker pool. One Result
-// per group, indexed by slice position so the NDJSON stream orders by
-// increasing global trace index.
-func (e *Engine) runGrid(ctx context.Context, req api.ExperimentRequest) (<-chan Result, error) {
+// gridJobs enumerates a grid-kind request and takes this shard's slice:
+// one job per trace group, indexed by slice position so the NDJSON
+// stream orders by increasing global trace index.
+func gridJobs(req api.ExperimentRequest, prov exp.TraceProvider) ([]job, error) {
 	groups, err := shard.Enumerate(*req.Grid, req.Scale)
 	if err != nil {
 		return nil, err
@@ -52,59 +49,24 @@ func (e *Engine) runGrid(ctx context.Context, req api.ExperimentRequest) (<-chan
 	if req.Shard != nil {
 		sl = shard.Slice{Index: req.Shard.Index, Count: req.Shard.Count}
 	}
-	mine := shard.Assigned(groups, sl)
-	prov, err := e.traces()
-	if err != nil {
-		return nil, err
-	}
-
 	reg := obs.Default().Sub("shard")
 	tracesC := reg.Counter("trace_groups")
 	unitsC := reg.Counter("units")
-
-	out := make(chan Result, len(mine))
-	sem := make(chan struct{}, e.opts.Workers)
-	go func() {
-		defer close(out)
-		var wg sync.WaitGroup
-		for i, g := range mine {
-			wg.Add(1)
-			go func(i int, g shard.TraceGroup) {
-				defer wg.Done()
-				select {
-				case sem <- struct{}{}:
-					defer func() { <-sem }()
-				case <-ctx.Done():
-					out <- Result{Index: i, ID: g.Tag(), Title: gridTitle(g), Err: ctx.Err()}
-					return
-				}
+	mine := shard.Assigned(groups, sl)
+	jobs := make([]job, len(mine))
+	for i, g := range mine {
+		jobs[i] = job{id: g.Tag(), title: gridTitle(g), timer: "grid_group",
+			run: func(ctx context.Context, rep report.Reporter) error {
 				tracesC.Inc()
-				out <- runTraceGroup(ctx, i, g, prov, unitsC)
-			}(i, g)
-		}
-		wg.Wait()
-		obs.Default().Emit("grid.done", "", int64(len(mine)))
-	}()
-	return out, nil
+				return gridGroupInto(ctx, g, prov, rep, unitsC)
+			}}
+	}
+	return jobs, nil
 }
 
 // gridTitle renders a group's human-readable title for text output.
 func gridTitle(g shard.TraceGroup) string {
 	return fmt.Sprintf("grid trace %s: scene %s at scale %d", g.Tag(), g.TK.Scene, g.Scale)
-}
-
-// runTraceGroup runs all of one trace group's units, recording the
-// result table.
-func runTraceGroup(ctx context.Context, i int, g shard.TraceGroup, prov exp.TraceProvider, unitsC *obs.Counter) Result {
-	r := Result{Index: i, ID: g.Tag(), Title: gridTitle(g)}
-	start := time.Now()
-	rec := &report.Recording{}
-	r.Err = gridGroupInto(ctx, g, prov, rec, unitsC)
-	r.Elapsed = time.Since(start)
-	r.Report = rec
-	r.Output = rec.Text()
-	obs.Default().Sub("engine").Timer("grid_group").Observe(r.Elapsed)
-	return r
 }
 
 // gridGroupInto does one trace group's work: render (or load) the

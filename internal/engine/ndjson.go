@@ -75,18 +75,15 @@ func (e *Engine) RunRequestNDJSON(ctx context.Context, req api.ExperimentRequest
 	if err != nil {
 		return err
 	}
-	if rc == nil {
+	produce := func(w io.Writer, onResult func(Result)) error {
 		results, err := e.RunRequest(ctx, req)
 		if err != nil {
 			return err
 		}
 		return StreamNDJSON(w, results, onResult)
 	}
-	return rc.Serve(ctx, req, w, onResult, func(tw io.Writer, cb func(Result)) error {
-		results, err := e.RunRequest(ctx, req)
-		if err != nil {
-			return err
-		}
-		return StreamNDJSON(tw, results, cb)
-	})
+	if rc == nil {
+		return produce(w, onResult)
+	}
+	return rc.Serve(ctx, req, w, onResult, produce)
 }

@@ -1,21 +1,21 @@
 // Request-centric entry point: RunRequest executes one api.ExperimentRequest,
 // the single description of a unit of work every binary and the library
-// facade construct. Experiment-kind requests route through the batch
-// scheduler (Run); sweep-kind requests render their (scene, scale,
-// layout, traversal) stream through the same trace provider — so
-// identical sweeps coalesce onto one render — and replay the requested
-// cache configurations against it.
+// facade construct. Each request kind becomes a list of jobs for the one
+// scheduler (runJobs): the experiments of a batch, one sweep, one
+// architecture comparison, or one job per grid trace group. Sweeps and
+// architecture comparisons render their (scene, scale, layout,
+// traversal) stream through the same trace provider — so identical
+// requests coalesce onto one render — and run the requested cache
+// configurations against it.
 package engine
 
 import (
 	"context"
-	"time"
 
 	"texcache/internal/api"
 	"texcache/internal/arch"
 	"texcache/internal/cache"
 	"texcache/internal/exp"
-	"texcache/internal/obs"
 	"texcache/internal/report"
 )
 
@@ -35,15 +35,37 @@ func (e *Engine) RunRequest(ctx context.Context, req api.ExperimentRequest) (<-c
 	if err := api.Validate(req); err != nil {
 		return nil, err
 	}
+	if req.Kind() == api.KindExperiments {
+		return e.Run(ctx, req.Experiments, req.ExpConfig())
+	}
+	prov, err := e.traces()
+	if err != nil {
+		return nil, err
+	}
+	cfg := req.ExpConfig()
+	var jobs []job
 	switch req.Kind() {
 	case api.KindGrid:
-		return e.runGrid(ctx, req)
+		if jobs, err = gridJobs(req, prov); err != nil {
+			return nil, err
+		}
 	case api.KindArchitecture:
-		return e.runArchitecture(ctx, req)
+		jobs = []job{{id: ArchID, title: "texture-unit architecture comparison: " + req.Scene,
+			timer: "arch_request",
+			run: func(ctx context.Context, rep report.Reporter) error {
+				return archInto(ctx, req, cfg, prov, rep)
+			}}}
 	case api.KindSweep:
-		return e.runSweep(ctx, req)
+		// The provider's single-flight keying coalesces identical
+		// concurrent sweeps: any number of requests for the same (scene,
+		// scale, layout, traversal) cost one render.
+		jobs = []job{{id: SweepID, title: "custom cache sweep: " + req.Scene,
+			timer: "sweep_request",
+			run: func(ctx context.Context, rep report.Reporter) error {
+				return sweepInto(ctx, req, cfg, prov, rep)
+			}}}
 	}
-	return e.Run(ctx, req.Experiments, req.ExpConfig())
+	return e.runJobs(ctx, jobs, nil), nil
 }
 
 // sweepColumns lays out the sweep result table: one row per requested
@@ -60,34 +82,6 @@ func sweepColumns() []report.Column {
 	}
 }
 
-// runSweep renders the request's texel stream through the engine's trace
-// provider and replays the configuration set, emitting one result whose
-// recording is a single classified-statistics table. The provider's
-// single-flight keying is what coalesces identical concurrent sweeps:
-// any number of requests for the same (scene, scale, layout, traversal)
-// cost one render.
-func (e *Engine) runSweep(ctx context.Context, req api.ExperimentRequest) (<-chan Result, error) {
-	cfg := req.ExpConfig()
-	prov, err := e.traces()
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan Result, 1)
-	go func() {
-		defer close(out)
-		r := Result{Index: 0, ID: SweepID, Title: "custom cache sweep: " + req.Scene}
-		start := time.Now()
-		rec := &report.Recording{}
-		r.Err = sweepInto(ctx, req, cfg, prov, rec)
-		r.Elapsed = time.Since(start)
-		r.Report = rec
-		r.Output = rec.Text()
-		obs.Default().Sub("engine").Timer("sweep_request").Observe(r.Elapsed)
-		out <- r
-	}()
-	return out, nil
-}
-
 // archColumns lays out the architecture result table: one row per
 // (cache configuration, pipeline) machine with its cycle accounting and
 // queue high-water marks.
@@ -102,33 +96,6 @@ func archColumns() []report.Column {
 		{Name: "InFlight", Head: "%9s", Cell: "%9d"},
 		{Name: "ROB", Head: "%5s", Cell: "%5d"},
 	}
-}
-
-// runArchitecture renders the request's texel stream through the
-// engine's trace provider — coalescing with any concurrent request for
-// the same (scene, scale, layout, traversal) key — and runs the
-// cycle-level pipeline comparison, emitting one result whose recording
-// is a single timing table.
-func (e *Engine) runArchitecture(ctx context.Context, req api.ExperimentRequest) (<-chan Result, error) {
-	cfg := req.ExpConfig()
-	prov, err := e.traces()
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan Result, 1)
-	go func() {
-		defer close(out)
-		r := Result{Index: 0, ID: ArchID, Title: "texture-unit architecture comparison: " + req.Scene}
-		start := time.Now()
-		rec := &report.Recording{}
-		r.Err = archInto(ctx, req, cfg, prov, rec)
-		r.Elapsed = time.Since(start)
-		r.Report = rec
-		r.Output = rec.Text()
-		obs.Default().Sub("engine").Timer("arch_request").Observe(r.Elapsed)
-		out <- r
-	}()
-	return out, nil
 }
 
 // archInto does the architecture work: one trace, one miss timeline per

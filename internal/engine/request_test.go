@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"texcache/internal/api"
 	"texcache/internal/exp"
+	"texcache/internal/obs"
 )
 
 // drainOne reads the single result a one-shot request emits.
@@ -167,6 +170,106 @@ func TestRunRequestGrid(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("sharded grid emitted %d groups, want 1", n)
+	}
+}
+
+// TestJobLoopEveryKind pins the one job loop under every request kind:
+// Progress fires once per Result with Completed running from 1 to Total,
+// a context cancelled before the start yields one Result per job
+// carrying its error, and the engine gauges read 0 once the result
+// channel closes.
+func TestJobLoopEveryKind(t *testing.T) {
+	grid := gridReq()
+	grid.Grid.Scenes = []string{"goblet", "guitar"}
+	shardOf := func(req api.ExperimentRequest, i, n int) api.ExperimentRequest {
+		req.Shard = &api.Shard{Index: i, Count: n}
+		return req
+	}
+	cases := []struct {
+		name string
+		req  api.ExperimentRequest
+		jobs int
+	}{
+		{"experiments", api.ExperimentRequest{Experiments: []string{"table2.1", "fig5.2"},
+			Scenes: []string{"goblet"}, Scale: 8}, 2},
+		{"sweep", sweepReq("goblet"), 1},
+		{"architecture", api.ExperimentRequest{Scene: "goblet", Scale: 8,
+			Architecture: &api.Architecture{}}, 1},
+		{"grid", grid, 2},
+		{"grid shard", shardOf(grid, 1, 2), 1},
+	}
+	reg := obs.NewRegistry()
+	obs.Attach(reg)
+	defer obs.Detach()
+	gauges := func(t *testing.T) {
+		t.Helper()
+		for _, g := range []string{"queue_depth", "busy_workers"} {
+			if v := reg.Sub("engine").Gauge(g).Value(); v != 0 {
+				t.Errorf("engine.%s = %d after the channel closed, want 0", g, v)
+			}
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var seen []Progress
+			eng := New(WithWorkers(2), WithProgress(func(p Progress) {
+				mu.Lock()
+				seen = append(seen, p)
+				mu.Unlock()
+			}))
+			ch, err := eng.RunRequest(context.Background(), tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := map[string]int{}
+			n := 0
+			for r := range ch {
+				if r.Err != nil {
+					t.Errorf("%s: %v", r.ID, r.Err)
+				}
+				ids[r.ID]++
+				n++
+			}
+			gauges(t)
+			if n != tc.jobs {
+				t.Fatalf("%d results, want %d", n, tc.jobs)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(seen) != n {
+				t.Fatalf("Progress fired %d times for %d results", len(seen), n)
+			}
+			for i, p := range seen {
+				if p.Completed != i+1 || p.Total != n {
+					t.Errorf("progress %d reads %d/%d, want %d/%d", i, p.Completed, p.Total, i+1, n)
+				}
+				ids[p.ID]--
+			}
+			for id, c := range ids {
+				if c != 0 {
+					t.Errorf("%s: results and progress calls differ by %d", id, c)
+				}
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			ch, err = New(WithWorkers(2)).RunRequest(ctx, tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = 0
+			for r := range ch {
+				if !errors.Is(r.Err, context.Canceled) {
+					t.Errorf("%s under a cancelled context: err %v, want context.Canceled", r.ID, r.Err)
+				}
+				n++
+			}
+			gauges(t)
+			if n != tc.jobs {
+				t.Errorf("cancelled request: %d results, want %d", n, tc.jobs)
+			}
+		})
 	}
 }
 

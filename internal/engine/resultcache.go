@@ -178,6 +178,9 @@ func (rc *ResultCache) SizeBytes() int64 { return rc.mem.Bytes() }
 //
 // The producer's context governs the production; a cancelled waiter
 // returns early while the run continues for whoever still wants it.
+// When the producer's own context ends and its run fails for that
+// reason, a waiter that is still live does not inherit the error: it
+// runs produce itself, or waits on whichever caller does.
 func (rc *ResultCache) Serve(ctx context.Context, req api.ExperimentRequest, w io.Writer, onResult func(Result), produce func(io.Writer, func(Result)) error) error {
 	canonical := resultKey(req)
 	reg := obs.Default().Sub("engine").Sub("result_cache")

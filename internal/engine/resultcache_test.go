@@ -265,6 +265,65 @@ func TestResultCacheCancelledWaiter(t *testing.T) {
 	wg.Wait()
 }
 
+// waitingCtx closes waiting when a caller first asks for its Done
+// channel, which the result cache's memo does only once it waits on an
+// in-flight production. Its Done channel is nil: it never ends.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return nil
+}
+
+// TestResultCacheWaiterOutlivesProducer: when the client whose request
+// is producing a stream goes away, a coalesced client that is still
+// there gets the whole stream, byte-identical to a fresh run, instead
+// of the departed client's context error.
+func TestResultCacheWaiterOutlivesProducer(t *testing.T) {
+	req := sweepReq("goblet")
+	var fresh bytes.Buffer
+	if err := New().RunRequestNDJSON(context.Background(), req, &fresh, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	rc := NewResultCache()
+	actx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	aErr := make(chan error, 1)
+	go func() {
+		aErr <- rc.Serve(actx, req, io.Discard, nil, func(w io.Writer, cb func(Result)) error {
+			close(started)
+			<-actx.Done() // the client hangs up before its stream is done
+			return actx.Err()
+		})
+	}()
+	<-started
+	bctx := &waitingCtx{Context: context.Background(), waiting: make(chan struct{})}
+	var got bytes.Buffer
+	bErr := make(chan error, 1)
+	go func() {
+		bErr <- New(WithResultCache(rc)).RunRequestNDJSON(bctx, req, &got, nil)
+	}()
+	<-bctx.waiting
+	cancel()
+	if err := <-aErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("departed client: err = %v, want context.Canceled", err)
+	}
+	if err := <-bErr; err != nil {
+		t.Fatalf("waiting client: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), fresh.Bytes()) {
+		t.Errorf("waiting client got %d bytes, a fresh run %d; streams differ", got.Len(), fresh.Len())
+	}
+	if rc.Produced() != 2 || rc.Len() != 1 {
+		t.Errorf("produced %d, entries %d; want 2 and the waiter's stream stored", rc.Produced(), rc.Len())
+	}
+}
+
 func TestResultCachePersistentTier(t *testing.T) {
 	dir := t.TempDir()
 	req := sweepReq("goblet")

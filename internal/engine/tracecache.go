@@ -98,7 +98,8 @@ func (tc *TraceCache) Len() int { return tc.mem.Len() }
 // producing it (store load, else render) on the calling goroutine if no
 // other request got there first. Waiters respect ctx: a cancelled waiter
 // returns early while the production (owned by another caller) continues
-// for whoever still wants it.
+// for whoever still wants it, and a live waiter whose producer was
+// cancelled renders the trace itself instead of failing.
 func (tc *TraceCache) SceneTrace(ctx context.Context, key exp.TraceKey, scale int) (cache.AddrStream, error) {
 	if scale < 1 {
 		scale = 1

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"texcache/internal/cache"
 	"texcache/internal/report"
 	"texcache/internal/scenes"
 )
@@ -333,6 +336,38 @@ func TestNeedsKeysRunnable(t *testing.T) {
 				t.Errorf("%s: Needs names unknown scene %q", e.ID, k.Scene)
 			}
 		}
+	}
+}
+
+// recordingProvider renders every requested trace privately and records
+// its key, so a test can compare what an experiment asks for with what
+// it declares in Needs.
+type recordingProvider struct {
+	mu   sync.Mutex
+	keys []TraceKey
+}
+
+func (p *recordingProvider) SceneTrace(ctx context.Context, k TraceKey, scale int) (cache.AddrStream, error) {
+	p.mu.Lock()
+	p.keys = append(p.keys, k)
+	p.mu.Unlock()
+	return traceScene(ctx, Config{Scale: scale}, k.Scene, k.Layout, k.Traversal)
+}
+
+// TestDRAMReadsDeclaredTraces: dram takes every trace it replays from
+// the provider, exactly the keys its Needs declares, and its output is
+// the same with and without a provider.
+func TestDRAMReadsDeclaredTraces(t *testing.T) {
+	cfg := Config{Scale: 8, Scenes: []string{"goblet", "town"}}
+	want := runOne(t, "dram", cfg)
+	p := &recordingProvider{}
+	cfg.Traces = p
+	if got := runOne(t, "dram", cfg); got != want {
+		t.Errorf("dram through a provider:\n%s\nrendering privately:\n%s", got, want)
+	}
+	e, _ := Lookup("dram")
+	if needs := e.Needs(cfg); !slices.Equal(p.keys, needs) {
+		t.Errorf("dram asked for %v, Needs declares %v", p.keys, needs)
 	}
 }
 

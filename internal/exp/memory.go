@@ -22,6 +22,16 @@ func init() {
 		Title: "DRAM page behavior and bus utilization of the fill stream " +
 			"vs line size (Section 3.2)",
 		Run: runDRAM,
+		Needs: func(cfg Config) []TraceKey {
+			var keys []TraceKey
+			for _, name := range cfg.sceneList(scenes.Names()...) {
+				for _, line := range dramLines {
+					keys = append(keys, TraceKey{Scene: name, Layout: dramLayout(line),
+						Traversal: DefaultTraversalFor(name)})
+				}
+			}
+			return keys
+		},
 	})
 	register(Experiment{
 		ID: "prefetch",
@@ -36,6 +46,19 @@ func init() {
 			"(Section 3.1.2)",
 		Run: runInterframe,
 	})
+}
+
+// dramLines is the line-size sweep of the DRAM study in bytes.
+var dramLines = []int{32, 64, 128, 256}
+
+// dramLayout is the blocked layout the DRAM study renders for a line
+// size: the block matched to the line, at least 2x2 and at most 8x8.
+func dramLayout(line int) texture.LayoutSpec {
+	bw := 8
+	if line < 256 {
+		bw = line / (4 * texture.TexelBytes) // block matched to line
+	}
+	return texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: max(2, bw)}
 }
 
 // runDRAM replays each scene's 32KB-cache fill stream through the SDRAM
@@ -53,35 +76,20 @@ func runDRAM(ctx context.Context, cfg Config, rep report.Reporter) error {
 		{Name: "eff MB/s", Head: " %12s", Cell: " %12.0f"},
 	})
 	for _, name := range cfg.sceneList(scenes.Names()...) {
-		s, err := buildScene(ctx, cfg, name)
-		if err != nil {
-			return err
-		}
-		for _, line := range []int{32, 64, 128, 256} {
-			if err := ctx.Err(); err != nil {
+		for _, line := range dramLines {
+			tr, err := traceScene(ctx, cfg, name, dramLayout(line), DefaultTraversalFor(name))
+			if err != nil {
 				return err
 			}
-			bw := 8
-			if line < 256 {
-				bw = line / (4 * texture.TexelBytes) // block matched to line
-				if bw < 1 {
-					bw = 1
-				}
-			}
-			spec := texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: maxInt(2, bw)}
 			c := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: line, Ways: 2})
 			d, err := dram.NewSim(dram.Default(), line)
 			if err != nil {
 				return err
 			}
+			// A miss observer keeps the cache on its scalar path, so the
+			// fills reach the DRAM model in trace order.
 			c.SetMissObserver(func(a uint64) { d.Fill(a) })
-			if _, err := s.Render(scenes.RenderOptions{
-				Layout:    spec,
-				Traversal: s.DefaultTraversal(),
-				Sink:      c.Sink(),
-			}); err != nil {
-				return err
-			}
+			cache.ReplayStream(tr, c.Sink())
 			st := d.Stats()
 			rep.Row(name, line, st.Fills, 100*st.PageHitRate(), 100*st.BusUtilization(),
 				d.EffectiveBandwidth()/1e6)
@@ -91,13 +99,6 @@ func runDRAM(ctx context.Context, cfg Config, rep report.Reporter) error {
 	rep.Note("%s", "Section 3.2: block transfers amortize DRAM setup over many bytes,")
 	rep.Note("%s", "so longer lines extract a larger fraction of the raw 800 MB/s bus")
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // runPrefetch sweeps the FIFO depth of the dual-rasterizer prefetch for

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"texcache/internal/banks"
 	"texcache/internal/cache"
 	"texcache/internal/perf"
 	"texcache/internal/report"
@@ -138,7 +139,7 @@ func runBanks(ctx context.Context, cfg Config, rep report.Reporter) error {
 		if err != nil {
 			return err
 		}
-		a := newBankAnalyzer()
+		a := banks.New()
 		if _, err := s.Render(scenes.RenderOptions{
 			Layout:    texture.LayoutSpec{Kind: texture.NonBlockedKind},
 			Traversal: s.DefaultTraversal(),
@@ -146,7 +147,7 @@ func runBanks(ctx context.Context, cfg Config, rep report.Reporter) error {
 		}); err != nil {
 			return err
 		}
-		rep.Row(name, a.CyclesPerQuadMorton(), a.CyclesPerQuadLinear(), a.Speedup())
+		rep.Row(name, a.CyclesPerQuad(banks.Morton), a.CyclesPerQuad(banks.Linear), a.Speedup())
 	}
 	rep.Note("")
 	rep.Note("%s", "paper: morton order allows up to four texels per cycle conflict-free")

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 
-	"texcache/internal/banks"
 	"texcache/internal/cache"
 	"texcache/internal/report"
 	"texcache/internal/texture"
@@ -17,17 +16,6 @@ func init() {
 		Run: runWilliams,
 	})
 }
-
-// newBankAnalyzer adapts banks.Analyzer so table71.go does not import the
-// package directly at its call sites.
-type bankAnalyzer struct{ a *banks.Analyzer }
-
-func newBankAnalyzer() *bankAnalyzer { return &bankAnalyzer{a: banks.New()} }
-
-func (b *bankAnalyzer) Record(e texture.AccessEvent) { b.a.Record(e) }
-func (b *bankAnalyzer) CyclesPerQuadMorton() float64 { return b.a.CyclesPerQuad(banks.Morton) }
-func (b *bankAnalyzer) CyclesPerQuadLinear() float64 { return b.a.CyclesPerQuad(banks.Linear) }
-func (b *bankAnalyzer) Speedup() float64             { return b.a.Speedup() }
 
 // runWilliams compares the Williams representation against the base
 // nonblocked representation: the component planes separated by powers of

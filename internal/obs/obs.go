@@ -1,7 +1,6 @@
 // Package obs is the simulator's observability layer: atomic counters,
-// gauges and timers in a hierarchical named registry, a frame/experiment
-// lifecycle event stream, and snapshot export through expvar plus an
-// optional debug HTTP endpoint.
+// gauges and timers in a hierarchical named registry, and snapshot
+// export through expvar plus an optional debug HTTP endpoint.
 //
 // Instrumented code is written against nil-safe handles: asking a nil
 // *Registry for a metric returns a nil handle, and every method on a nil
@@ -138,9 +137,7 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	timers   map[string]*Timer
 	subs     map[string]*Registry
-	root     *Registry // shared metric maps + event handlers live here
-
-	handlers atomic.Pointer[[]func(Event)]
+	root     *Registry // shared metric maps live here
 }
 
 // NewRegistry returns an empty root registry.

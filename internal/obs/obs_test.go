@@ -21,8 +21,6 @@ func TestNilSafety(t *testing.T) {
 	r.Timer("t").Observe(time.Second)
 	r.Timer("t").ObserveSince(time.Now())
 	r.Sub("s").Counter("c").Inc()
-	r.Emit("experiment.start", "fig5.2", 0)
-	r.OnEvent(func(Event) { t.Error("handler registered on nil registry") })
 	if v := r.Counter("c").Value(); v != 0 {
 		t.Errorf("nil counter value = %d", v)
 	}
@@ -111,31 +109,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if v := r.Gauge("g").Value(); v != 0 {
 		t.Errorf("gauge = %d, want 0", v)
-	}
-}
-
-func TestEvents(t *testing.T) {
-	r := NewRegistry()
-	var mu sync.Mutex
-	var got []Event
-	r.OnEvent(func(e Event) {
-		mu.Lock()
-		got = append(got, e)
-		mu.Unlock()
-	})
-	// Sub-registry emits reach root handlers.
-	r.Sub("engine").Emit("experiment.start", "fig5.2", 0)
-	r.Emit("experiment.done", "fig5.2", 42)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("got %d events, want 2", len(got))
-	}
-	if got[0].Kind != "experiment.start" || got[0].Name != "fig5.2" {
-		t.Errorf("event 0 = %+v", got[0])
-	}
-	if got[1].Value != 42 || got[1].Time.IsZero() {
-		t.Errorf("event 1 = %+v", got[1])
 	}
 }
 

@@ -86,9 +86,6 @@ type Renderer struct {
 	// Counters consumer always render serially (those observe the
 	// stream as it is produced).
 	RenderWorkers int
-	// TilePx is the screen-tile edge for the parallel path
-	// (DefaultTilePx when zero or negative).
-	TilePx int
 	// TraceHint is the expected number of texel addresses the frame
 	// will emit (scene-scale hint). The tile-parallel path divides it
 	// across tiles by pixel share to pre-size per-tile trace buffers;
@@ -100,6 +97,9 @@ type Renderer struct {
 	sampler  texture.Sampler
 	scratch  [2][]clipVertex
 	deferred []screenTri
+	// tilePx is the screen-tile edge for the parallel path
+	// (DefaultTilePx when zero or negative).
+	tilePx int
 }
 
 // NewRenderer returns a renderer for a width x height frame.
@@ -174,7 +174,7 @@ func (r *Renderer) drawTriangle(tr *geom.Triangle, model, mvp vecmath.Mat4) {
 	}
 	// Fan-triangulate the clipped polygon.
 	for i := 1; i+1 < len(verts); i++ {
-		r.rasterizeScreenTri(verts[0], verts[i], verts[i+1], tex)
+		r.rasterizeScreenTri(&screenTri{v0: verts[0], v1: verts[i], v2: verts[i+1], tex: tex})
 	}
 	if tex != nil {
 		r.Stats.TexturedTris++
@@ -215,49 +215,64 @@ func (r *Renderer) toScreen(p clipVertex) raster.Vert {
 	}
 }
 
-func (r *Renderer) rasterizeScreenTri(v0, v1, v2 raster.Vert, tex *texture.Texture) {
-	if r.deferTri(v0, v1, v2, tex) {
+// rasterizeScreenTri captures the triangle for the tile pass of a
+// deferred frame, or scans it now with the whole screen as its clip.
+func (r *Renderer) rasterizeScreenTri(st *screenTri) {
+	if r.deferTri(st) {
 		return
 	}
 	r.sampler.Sink = r.Sink
 	r.sampler.OnAccess = r.OnAccess
+	screen := raster.Rect{X1: r.Width - 1, Y1: r.Height - 1}
+	r.drawFragments(st, screen, &r.sampler, &r.Stats.FragmentsShaded, &r.Stats.FragmentsTextured, nil)
+}
+
+// drawFragments scans one screen triangle inside clip — the whole screen
+// for a serial frame, the tile's rect for the tile pass — and textures,
+// shades and resolves the visibility of each covered fragment. Texels
+// are fetched through smp, and fragments count into shaded and textured.
+// For a tile, ts records each textured fragment's rank and address run
+// for the merge; a serial frame passes nil. Texturing happens before the
+// depth test, as in the OpenGL pipeline the paper models — occluded
+// fragments still cost texture bandwidth.
+func (r *Renderer) drawFragments(st *screenTri, clip raster.Rect, smp *texture.Sampler, shaded, textured *uint64, ts *tileStream) {
+	tex := st.tex
 	texW, texH := 0, 0
 	if tex != nil {
 		texW = tex.Mip.Levels[0].W
 		texH = tex.Mip.Levels[0].H
 	}
-	raster.Rasterize(v0, v1, v2, r.Width, r.Height, texW, texH, r.Traversal,
-		func(f *raster.Fragment) {
-			r.shadeFragment(f, tex)
+	raster.RasterizeRect(st.v0, st.v1, st.v2, r.Width, r.Height, texW, texH, r.Traversal, clip,
+		func(f *raster.Fragment, rank uint64) {
+			if r.FragmentMask != nil && !r.FragmentMask(f.X, f.Y) {
+				return
+			}
+			*shaded++
+			if r.Counters != nil {
+				r.Counters.FragmentShade()
+			}
+			cr, cg, cb := f.R, f.G, f.B
+			if tex != nil {
+				*textured++
+				if r.Counters != nil {
+					r.Counters.FragmentTexture(f.Lambda <= 0, tex.Layout.Cost())
+				}
+				before := 0
+				if ts != nil {
+					before = len(ts.addrs)
+				}
+				c := smp.Sample(tex, f.U, f.V, f.Lambda)
+				cr *= c.R
+				cg *= c.G
+				cb *= c.B
+				if ts != nil && len(ts.addrs) > before {
+					ts.frags = append(ts.frags, fragRec{rank: rank, n: uint32(len(ts.addrs) - before)})
+				}
+			}
+			if r.FB.DepthTest(f.X, f.Y, f.Z) {
+				r.FB.SetPixel(f.X, f.Y, cr, cg, cb)
+			}
 		})
-}
-
-// shadeFragment textures and shades one fragment, then resolves
-// visibility. Texturing happens before the depth test, as in the OpenGL
-// pipeline the paper models — occluded fragments still cost texture
-// bandwidth.
-func (r *Renderer) shadeFragment(f *raster.Fragment, tex *texture.Texture) {
-	if r.FragmentMask != nil && !r.FragmentMask(f.X, f.Y) {
-		return
-	}
-	r.Stats.FragmentsShaded++
-	if r.Counters != nil {
-		r.Counters.FragmentShade()
-	}
-	cr, cg, cb := f.R, f.G, f.B
-	if tex != nil {
-		r.Stats.FragmentsTextured++
-		if r.Counters != nil {
-			r.Counters.FragmentTexture(f.Lambda <= 0, tex.Layout.Cost())
-		}
-		c := r.sampler.Sample(tex, f.U, f.V, f.Lambda)
-		cr *= c.R
-		cg *= c.G
-		cb *= c.B
-	}
-	if r.FB.DepthTest(f.X, f.Y, f.Z) {
-		r.FB.SetPixel(f.X, f.Y, cr, cg, cb)
-	}
 }
 
 func (r *Renderer) accumulateTriangleDims(verts []raster.Vert) {

@@ -52,6 +52,20 @@ func TestRenderTexturedQuadCoverage(t *testing.T) {
 	}
 }
 
+// TestSerialFrameCoversScreenEdges: a serial frame scans each triangle
+// with the whole screen as its clip, so a quad larger than the view
+// covers every pixel, the edge rows and columns included.
+func TestSerialFrameCoversScreenEdges(t *testing.T) {
+	const w, h = 48, 32
+	r, mesh, _ := frontQuadScene(t, w, h)
+	cam := LookAtCamera(vecmath.Vec3{Z: 0.5}, vecmath.Vec3{}, vecmath.Vec3{Y: 1},
+		math.Pi/2, float64(w)/float64(h), 0.1, 10)
+	r.DrawMesh(mesh, vecmath.Identity(), cam)
+	if got := r.FB.CoveredPixels(); got != w*h || r.Stats.FragmentsShaded != w*h {
+		t.Errorf("covered %d pixels with %d fragments, want all %d", got, r.Stats.FragmentsShaded, w*h)
+	}
+}
+
 func TestRenderEmitsTexelAccesses(t *testing.T) {
 	r, mesh, cam := frontQuadScene(t, 64, 64)
 	tr := cache.NewTrace(0)

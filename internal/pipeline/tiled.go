@@ -147,7 +147,7 @@ var deferredPool sync.Pool
 
 // deferTri captures a screen triangle for the tile pass, returning false
 // when the frame is not running in deferred mode.
-func (r *Renderer) deferTri(v0, v1, v2 raster.Vert, tex *texture.Texture) bool {
+func (r *Renderer) deferTri(st *screenTri) bool {
 	if !r.parallelEligible() {
 		return false
 	}
@@ -156,7 +156,7 @@ func (r *Renderer) deferTri(v0, v1, v2 raster.Vert, tex *texture.Texture) bool {
 			r.deferred = (*s)[:0]
 		}
 	}
-	r.deferred = append(r.deferred, screenTri{v0: v0, v1: v1, v2: v2, tex: tex})
+	r.deferred = append(r.deferred, *st)
 	return true
 }
 
@@ -186,7 +186,7 @@ func (r *Renderer) Finish() {
 		deferredPool.Put(&tris)
 	}()
 
-	tile := r.TilePx
+	tile := r.tilePx
 	if tile <= 0 {
 		tile = DefaultTilePx
 	}
@@ -323,35 +323,8 @@ func (r *Renderer) renderTile(ts *tileStream, tris []screenTri) {
 		smp.Sink = ts
 	}
 	for _, seq := range ts.tris {
-		st := &tris[seq]
 		span := triSpan{seq: int(seq), fragLo: len(ts.frags), addrLo: len(ts.addrs)}
-		texW, texH := 0, 0
-		if st.tex != nil {
-			texW = st.tex.Mip.Levels[0].W
-			texH = st.tex.Mip.Levels[0].H
-		}
-		raster.RasterizeRect(st.v0, st.v1, st.v2, r.Width, r.Height, texW, texH, r.Traversal, ts.rect,
-			func(f *raster.Fragment, rank uint64) {
-				if r.FragmentMask != nil && !r.FragmentMask(f.X, f.Y) {
-					return
-				}
-				ts.shaded++
-				cr, cg, cb := f.R, f.G, f.B
-				if st.tex != nil {
-					ts.textured++
-					before := len(ts.addrs)
-					c := smp.Sample(st.tex, f.U, f.V, f.Lambda)
-					cr *= c.R
-					cg *= c.G
-					cb *= c.B
-					if n := len(ts.addrs) - before; n > 0 {
-						ts.frags = append(ts.frags, fragRec{rank: rank, n: uint32(n)})
-					}
-				}
-				if r.FB.DepthTest(f.X, f.Y, f.Z) {
-					r.FB.SetPixel(f.X, f.Y, cr, cg, cb)
-				}
-			})
+		r.drawFragments(&tris[seq], ts.rect, &smp, &ts.shaded, &ts.textured, ts)
 		span.fragHi, span.addrHi = len(ts.frags), len(ts.addrs)
 		if span.addrHi > span.addrLo {
 			ts.spans = append(ts.spans, span)

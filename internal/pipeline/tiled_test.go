@@ -92,7 +92,7 @@ func TestTileParallelMatchesSerial(t *testing.T) {
 					par := newRenderer()
 					par.Traversal = trav
 					par.RenderWorkers = workers
-					par.TilePx = tilePx
+					par.tilePx = tilePx
 					parTrace := renderClutter(mesh, cam, par)
 
 					if len(parTrace.Addrs) != len(serialTrace.Addrs) {
@@ -146,7 +146,7 @@ func TestTileParallelGenericSink(t *testing.T) {
 
 	par := newRenderer()
 	par.RenderWorkers = 4
-	par.TilePx = 16
+	par.tilePx = 16
 	var got recordingSink
 	par.Sink = &got
 	par.DrawMesh(mesh, vecmath.Identity(), cam)
@@ -314,7 +314,7 @@ func TestTileSkewDeterminism(t *testing.T) {
 		for _, tilePx := range []int{0, 16} {
 			par := newRenderer()
 			par.RenderWorkers = workers
-			par.TilePx = tilePx
+			par.tilePx = tilePx
 			parTrace := renderClutter(mesh, cam, par)
 
 			if len(parTrace.Addrs) != len(serialTrace.Addrs) {

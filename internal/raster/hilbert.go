@@ -70,12 +70,6 @@ func hilbertWalk(side int, r Rect, visit func(x, y int, d uint64)) int {
 	return nodes
 }
 
-// scanHilbert visits the pixels of bbox in Peano-Hilbert order over the
-// smallest enclosing power-of-two square anchored at its corner.
-func scanHilbert(bbox Rect, visit func(px, py int)) {
-	scanHilbertRanked(bbox, bbox, func(px, py int, _ uint64) { visit(px, py) })
-}
-
 // scanHilbertRanked visits the pixels of bbox that fall inside clip in
 // Peano-Hilbert order, passing each pixel's distance along the curve
 // (over the bounding box's enclosing power-of-two square) as its rank.

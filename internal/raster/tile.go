@@ -2,15 +2,16 @@ package raster
 
 import "math"
 
-// This file is the rasterizer half of the tile-parallel render path: a
-// screen tiling (Grid), triangle-to-tile binning support (Bounds), and a
-// clipped rasterization entry point (RasterizeRect) that tags every
-// fragment with its rank — the fragment's position in the serial
+// This file holds the rasterizer's one scan, RasterizeRect, and the
+// screen tiling (Grid) and binning support (Bounds) of the tile-parallel
+// render path. RasterizeRect scans a triangle inside a clip rect — the
+// whole screen for a serial frame, one tile for the tile pass — and tags
+// every fragment with its rank, the fragment's position in the serial
 // traversal order of its triangle. Ranks let per-tile fragment streams,
-// produced concurrently, be merged back into the exact sequence
-// Rasterize would have emitted: within one triangle the serial order of
-// any two fragments is fully determined by the traversal, so a total
-// order encodable per fragment, and a rect-restricted scan emits exactly
+// produced concurrently, be merged back into the exact sequence a
+// whole-screen clip emits: within one triangle the serial order of any
+// two fragments is fully determined by the traversal, so a total order
+// is encodable per fragment, and a rect-restricted scan emits exactly
 // the serial subsequence that lands inside the rect.
 
 // Rect is an inclusive integer pixel rectangle. A rect with X0 > X1 or
@@ -75,11 +76,17 @@ func (g Grid) TileRange(r Rect) (tx0, ty0, tx1, ty1 int) {
 	return r.X0 / g.Tile, r.Y0 / g.Tile, r.X1 / g.Tile, r.Y1 / g.Tile
 }
 
-// Bounds returns the clamped integer pixel bounding box Rasterize scans
-// for the triangle — the pixels whose centers can be covered — and
+// Bounds returns the clamped integer pixel bounding box RasterizeRect
+// scans for the triangle — the pixels whose centers can be covered — and
 // whether it is non-empty. It does not reject degenerate triangles;
-// RasterizeRect (like Rasterize) emits nothing for those.
+// RasterizeRect emits nothing for those.
 func Bounds(v0, v1, v2 Vert, width, height int) (Rect, bool) {
+	return bounds(&v0, &v1, &v2, width, height)
+}
+
+// bounds is Bounds over the vertices in place, so the scan's setup does
+// not copy them again.
+func bounds(v0, v1, v2 *Vert, width, height int) (Rect, bool) {
 	minX := math.Min(v0.X, math.Min(v1.X, v2.X))
 	maxX := math.Max(v0.X, math.Max(v1.X, v2.X))
 	minY := math.Min(v0.Y, math.Min(v1.Y, v2.Y))
@@ -104,20 +111,23 @@ const (
 	rankTileBits = 18
 )
 
-// RasterizeRect scans the triangle exactly as Rasterize does but emits
-// only the fragments inside clip, each tagged with its rank in the
-// serial traversal order. Restricting the scan never changes a
-// fragment's values: coverage and shading depend only on the pixel and
-// the triangle setup, and the span searches are exact on any
-// sub-interval. Consequently, for any partition of the screen into
-// rects, concatenating the per-rect streams in rank order reproduces
-// Rasterize's emission sequence bit for bit.
+// RasterizeRect scans the triangle (v0, v1, v2) over a width x height
+// screen using the given traversal and emits the covered fragments
+// inside clip, each tagged with its rank in the serial traversal order.
+// texW/texH are the base-level texture dimensions used for level-of-
+// detail; pass zero for untextured triangles. A clip covering the screen
+// emits the whole serial sequence, in ascending rank. Restricting the
+// scan never changes a fragment's values: coverage and shading depend
+// only on the pixel and the triangle setup, and the span searches are
+// exact on any sub-interval. Consequently, for any partition of the
+// screen into rects, concatenating the per-rect streams in rank order
+// reproduces the whole-screen sequence bit for bit.
 func RasterizeRect(v0, v1, v2 Vert, width, height int, texW, texH int, trav Traversal, clip Rect, emit func(*Fragment, uint64)) {
 	t, ok := setup(v0, v1, v2)
 	if !ok {
 		return
 	}
-	bbox, ok := Bounds(v0, v1, v2, width, height)
+	bbox, ok := bounds(&v0, &v1, &v2, width, height)
 	if !ok {
 		return
 	}
@@ -125,9 +135,10 @@ func RasterizeRect(v0, v1, v2 Vert, width, height int, texW, texH int, trav Trav
 	var frag Fragment
 
 	if trav.Order == HilbertOrder {
-		// The serial scan walks the curve over the bounding box's
-		// enclosing square; the curve distance is the rank, so any clip
-		// rect's stream is the serial one's subsequence in rank order.
+		// Peano-Hilbert path over the bounding box's enclosing square
+		// (footnote 1); the curve subsumes tiling. The curve distance is
+		// the rank, so any clip rect's stream is the serial one's
+		// subsequence in rank order.
 		scanHilbertRanked(bbox, clip, func(px, py int, d uint64) {
 			if w0, w1, w2, in := t.inside(float64(px)+0.5, float64(py)+0.5); in {
 				t.shade(px, py, w0, w1, w2, tw, th, &frag)
@@ -142,17 +153,22 @@ func RasterizeRect(v0, v1, v2 Vert, width, height int, texW, texH int, trav Trav
 		return
 	}
 
-	// scanRectRanked is Rasterize's scanRect over a sub-rect, with the
-	// rank of each emitted fragment supplied by rank(px, py).
-	scanRectRanked := func(r Rect, rank func(px, py int) uint64) {
+	// scanRectRanked walks the rows (or columns) of a sub-rect as spans:
+	// binary search finds the covered interval, then only covered pixels
+	// are shaded — the incremental span processing of a classical
+	// scanline rasterizer, with coverage decided by the identical edge
+	// predicate either way. A fragment's rank is base | major<<shift |
+	// minor, its pixel's major and minor coordinates under the order.
+	scanRectRanked := func(r Rect, base uint64, shift uint) {
 		if trav.Order == RowMajor {
 			for py := r.Y0; py <= r.Y1; py++ {
 				cy := float64(py) + 0.5
+				row := base | uint64(py)<<shift
 				lo, hi := t.spanX(py, r.X0, r.X1)
 				for px := lo; px <= hi; px++ {
 					if w0, w1, w2, in := t.inside(float64(px)+0.5, cy); in {
 						t.shade(px, py, w0, w1, w2, tw, th, &frag)
-						emit(&frag, rank(px, py))
+						emit(&frag, row|uint64(px))
 					}
 				}
 			}
@@ -160,30 +176,23 @@ func RasterizeRect(v0, v1, v2 Vert, width, height int, texW, texH int, trav Trav
 		}
 		for px := r.X0; px <= r.X1; px++ {
 			cx := float64(px) + 0.5
+			col := base | uint64(px)<<shift
 			lo, hi := t.spanY(px, r.Y0, r.Y1)
 			for py := lo; py <= hi; py++ {
 				if w0, w1, w2, in := t.inside(cx, float64(py)+0.5); in {
 					t.shade(px, py, w0, w1, w2, tw, th, &frag)
-					emit(&frag, rank(px, py))
+					emit(&frag, col|uint64(py))
 				}
 			}
 		}
 	}
 
 	if !trav.Tiled() {
-		if trav.Order == RowMajor {
-			scanRectRanked(visible, func(px, py int) uint64 {
-				return uint64(py)<<32 | uint64(px)
-			})
-		} else {
-			scanRectRanked(visible, func(px, py int) uint64 {
-				return uint64(px)<<32 | uint64(py)
-			})
-		}
+		scanRectRanked(visible, 0, 32)
 		return
 	}
 
-	// Static traversal tiling: the serial scan visits the traversal
+	// Static traversal tiling: the serial order visits the traversal
 	// tiles overlapping the bounding box in order, scanning each
 	// tile-bbox intersection. Only the rank depends on the visit order,
 	// so it is enough to scan the clipped portion of every such tile
@@ -200,23 +209,13 @@ func RasterizeRect(v0, v1, v2 Vert, width, height int, texW, texH int, trav Trav
 		if r.Empty() {
 			return
 		}
-		var rank func(px, py int) uint64
-		if trav.Order == RowMajor {
-			rank = func(px, py int) uint64 {
-				return uint64(ty)<<(rankTileBits+2*rankPixBits) |
-					uint64(tx)<<(2*rankPixBits) |
-					uint64(py)<<rankPixBits | uint64(px)
-			}
-		} else {
-			rank = func(px, py int) uint64 {
-				return uint64(tx)<<(rankTileBits+2*rankPixBits) |
-					uint64(ty)<<(2*rankPixBits) |
-					uint64(px)<<rankPixBits | uint64(py)
-			}
+		major, minor := ty, tx
+		if trav.Order != RowMajor {
+			major, minor = tx, ty
 		}
-		scanRectRanked(r, rank)
+		scanRectRanked(r, uint64(major)<<(rankTileBits+2*rankPixBits)|uint64(minor)<<(2*rankPixBits), rankPixBits)
 	}
-	// Tile visit order must mirror Rasterize's so each clip stream is
+	// Tiles are visited in the traversal's order, so each clip stream is
 	// emitted in ascending rank.
 	if trav.Order == RowMajor {
 		for ty := ty0; ty <= ty1; ty++ {

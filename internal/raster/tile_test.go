@@ -132,6 +132,32 @@ func TestRasterizeRectFullScreenIsSerial(t *testing.T) {
 	}
 }
 
+// TestRasterizeRectEmitsNothingUncovered: a degenerate triangle, one
+// entirely off the screen and one whose box misses the clip emit no
+// fragment, in any traversal.
+func TestRasterizeRectEmitsNothingUncovered(t *testing.T) {
+	const w, h = 16, 16
+	screen := Rect{X1: w - 1, Y1: h - 1}
+	for name, trav := range partitionTraversals {
+		for _, c := range []struct {
+			what       string
+			v0, v1, v2 Vert
+			clip       Rect
+		}{
+			{"point", vert(5, 5, 0, 0), vert(5, 5, 0, 0), vert(5, 5, 0, 0), screen},
+			{"collinear", vert(0, 0, 0, 0), vert(4, 4, 0, 0), vert(8, 8, 0, 0), screen},
+			{"off screen", vert(20, 2, 0, 0), vert(30, 4, 1, 0), vert(25, 12, 0, 1), screen},
+			{"outside clip", vert(1, 1, 0, 0), vert(6, 1, 1, 0), vert(1, 6, 0, 1), Rect{X0: 8, Y0: 8, X1: 15, Y1: 15}},
+		} {
+			n := 0
+			RasterizeRect(c.v0, c.v1, c.v2, w, h, 16, 16, trav, c.clip, func(*Fragment, uint64) { n++ })
+			if n != 0 {
+				t.Errorf("%s, %s: %d fragments, want none", name, c.what, n)
+			}
+		}
+	}
+}
+
 func TestGrid(t *testing.T) {
 	g := NewGrid(100, 50, 32)
 	if g.NX != 4 || g.NY != 2 || g.NumTiles() != 8 {

@@ -132,7 +132,6 @@ func (s *Scene) Render(opt RenderOptions) (*pipeline.Renderer, error) {
 		rend.Counter("frames").Inc()
 		rend.Counter("fragments").Add(r.Stats.FragmentsTextured)
 		rend.Counter("texel_fetches").Add(r.TexelFetches())
-		reg.Emit("frame.rendered", s.Name, int64(r.Stats.FragmentsTextured))
 	}
 	return r, nil
 }

@@ -1,7 +1,9 @@
 package scenes
 
 import (
+	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"texcache/internal/cache"
@@ -123,6 +125,49 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 	if t1.Len() == 0 {
 		t.Error("empty trace")
+	}
+}
+
+// TestTraversalPermutesTrace pins at scene level that a traversal
+// changes only the order of a trace: for every scene, nonblocked and
+// blocked 8x8, the row-major, column-major, 8x8-tiled, 16x4-tiled and
+// Hilbert traces hold the same multiset of addresses.
+func TestTraversalPermutesTrace(t *testing.T) {
+	travs := map[string]raster.Traversal{
+		"vertical":   {Order: raster.ColumnMajor},
+		"tiled 8x8":  {Order: raster.RowMajor, TileW: 8, TileH: 8},
+		"tiled 16x4": {Order: raster.RowMajor, TileW: 16, TileH: 4},
+		"hilbert":    {Order: raster.HilbertOrder},
+	}
+	sorted := func(t *testing.T, s *Scene, spec texture.LayoutSpec, trav raster.Traversal) []uint64 {
+		t.Helper()
+		tr, _, err := s.Trace(spec, trav)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(tr.Addrs)
+		return tr.Addrs
+	}
+	for _, name := range Names() {
+		s, err := Shared(context.Background(), name, testScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []texture.LayoutSpec{
+			{Kind: texture.NonBlockedKind},
+			{Kind: texture.BlockedKind, BlockW: 8},
+		} {
+			want := sorted(t, s, spec, raster.Traversal{Order: raster.RowMajor})
+			if len(want) == 0 {
+				t.Fatalf("%s %s: empty row-major trace", name, spec.Kind)
+			}
+			for tname, trav := range travs {
+				if got := sorted(t, s, spec, trav); !slices.Equal(got, want) {
+					t.Errorf("%s %s: the %s trace is not a permutation of the row-major one (%d vs %d addresses)",
+						name, spec.Kind, tname, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 
