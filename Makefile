@@ -41,7 +41,7 @@ deprecated:
 # `go doc -short .` prints more lines than FACADE_MAX. A change that
 # shrinks the facade lowers the number; raising it needs a reason in
 # CHANGES.md.
-FACADE_MAX = 139
+FACADE_MAX = 137
 facade:
 	@n=$$(go doc -short . | wc -l) ; \
 	echo "facade: $$n lines of go doc -short (ratchet $(FACADE_MAX))" ; \

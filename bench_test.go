@@ -189,7 +189,7 @@ func benchStoreBatch(b *testing.B, dir string) {
 		Scenes:      []string{"goblet"},
 		Scale:       benchScale(),
 	}
-	results, err := texcache.Run(context.Background(), req, texcache.WithTraceDir(dir))
+	results, err := texcache.Run(context.Background(), req, withTraceStore(b, dir))
 	if err != nil {
 		b.Fatal(err)
 	}

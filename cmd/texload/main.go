@@ -17,6 +17,9 @@
 // -arch instead posts a cycle-level architecture comparison (blocking,
 // prefetch or both) over -scene; -configs optionally overrides the
 // cache design point.
+// There is no -render-workers flag: texserve renders every request
+// through its one shared trace cache, sized by its own -render-workers,
+// and ignores a request's render_workers.
 // The exit status encodes the verdict scripts care about: 0 when at
 // least one request completed and the server returned no 5xx, 1
 // otherwise — `make serve-smoke` is exactly that check.
@@ -72,11 +75,11 @@ func parseConfigs(s string) ([]texcache.RequestCacheConfig, error) {
 }
 
 // buildRequest assembles the request body from flags or a wire file.
-func buildRequest(reqFile, exps, scenes, scene, configs, arch string, scale, renderW int, tenant string) ([]byte, error) {
+func buildRequest(reqFile, exps, scenes, scene, configs, arch string, scale int, tenant string) ([]byte, error) {
 	if reqFile != "" {
 		return os.ReadFile(reqFile)
 	}
-	req := texcache.ExperimentRequest{Tenant: tenant, Scale: scale, RenderWorkers: renderW}
+	req := texcache.ExperimentRequest{Tenant: tenant, Scale: scale}
 	if exps != "" && exps != "all" {
 		req.Experiments = strings.Split(exps, ",")
 	}
@@ -159,7 +162,6 @@ func run() int {
 	configs := flag.String("configs", "", "sweep cache configs, SIZE:LINE:WAYS[:POLICY],...")
 	arch := flag.String("arch", "", "architecture pipelines (blocking, prefetch or both) to compare over -scene instead of a sweep")
 	scale := flag.Int("scale", 8, "resolution divisor for the posted request")
-	renderW := flag.Int("render-workers", 0, "render workers requested per render")
 	reqFile := flag.String("request", "", "post this wire-form JSON request file instead of building one from flags")
 	timeout := flag.Duration("timeout", 5*time.Minute, "overall run deadline")
 	jsonOut := flag.Bool("json", false, "print the stats as JSON instead of a summary line")
@@ -178,7 +180,7 @@ func run() int {
 		}
 		return 0
 	}
-	body, err := buildRequest(*reqFile, *exps, *scenes, *scene, *configs, *arch, *scale, *renderW, *tenant)
+	body, err := buildRequest(*reqFile, *exps, *scenes, *scene, *configs, *arch, *scale, *tenant)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "texload:", err)
 		return 2

@@ -59,15 +59,18 @@
 // rendering entirely. Entries are keyed by scene, scale, layout,
 // traversal and trace-format version, so stale or corrupted files are
 // simply regenerated; output is byte-identical with or without the
-// store.
+// store. texsim opens the store itself, as texserve does, and renders
+// through a trace cache on it with the request's render workers, so a
+// -request file's render_workers applies with or without the store.
 //
 // -result-dir adds the tier above that for -json and -grid runs: the
 // finished NDJSON stream itself is stored content-addressed (keyed by
 // the canonical request, the API, trace-codec and result-format
 // versions, and the build of texsim), so repeating the same request
 // replays stored bytes in microseconds instead of re-simulating —
-// byte-identical output either way. A grid's frontier is recomputed
-// from the rows, stored or fresh.
+// byte-identical output either way. texsim attaches the directory to a
+// result cache of its own; text tables never consult it. A grid's
+// frontier is recomputed from the rows, stored or fresh.
 //
 //	texsim -exp all -json -result-dir .results  # warm repeats are instant
 //
@@ -354,15 +357,16 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	var opts []texcache.ExperimentOption
-	if *traceDir != "" {
-		opts = append(opts, texcache.WithTraceDir(*traceDir))
+	ndjson := req.Grid != nil || *jsonOut
+	resultDir := f.resultDir
+	if !ndjson {
+		// The result cache stores finished NDJSON streams, so text
+		// tables always simulate.
+		resultDir = ""
 	}
-	if f.resultDir != "" {
-		// Consulted only on the NDJSON path (-json and -grid): the result
-		// cache stores finished NDJSON streams, so text tables always
-		// simulate.
-		opts = append(opts, texcache.WithResultDir(f.resultDir))
+	opts, err := storeOptions(*traceDir, resultDir, req.RenderWorkers)
+	if err != nil {
+		return fail(err)
 	}
 	if *progress {
 		opts = append(opts, texcache.WithProgress(func(p texcache.ExperimentProgress) {
@@ -376,7 +380,7 @@ func run() int {
 	}
 
 	start := time.Now()
-	if req.Grid != nil || *jsonOut {
+	if ndjson {
 		// Pure NDJSON on stdout, the exact bytes texserve streams for
 		// this request, served through the result cache when -result-dir
 		// is set: a warm repeat writes the stored stream without
@@ -449,6 +453,32 @@ func run() int {
 	}
 	fmt.Printf("=== %d experiments in %v ===\n", done, time.Since(start).Round(time.Millisecond))
 	return 0
+}
+
+// storeOptions opens the persistent tiers texsim was pointed at, as
+// texserve does: a result cache on resultDir, and a trace cache on the
+// traceDir store whose renders use renderWorkers, the request's own
+// count. An empty directory attaches nothing.
+func storeOptions(traceDir, resultDir string, renderWorkers int) ([]texcache.ExperimentOption, error) {
+	var opts []texcache.ExperimentOption
+	if resultDir != "" {
+		rc := texcache.NewResultCache()
+		if err := rc.AttachDir(resultDir); err != nil {
+			return nil, err
+		}
+		opts = append(opts, texcache.WithResultCache(rc))
+	}
+	if traceDir != "" {
+		store, err := texcache.OpenTraceStore(traceDir)
+		if err != nil {
+			return nil, err
+		}
+		tc := texcache.NewTraceCache()
+		tc.RenderWorkers = renderWorkers
+		tc.Store = store
+		opts = append(opts, texcache.WithTraceProvider(tc))
+	}
+	return opts, nil
 }
 
 // fail prints err in the friendliest applicable form and returns the

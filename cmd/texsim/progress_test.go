@@ -4,6 +4,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"regexp"
@@ -11,8 +12,19 @@ import (
 )
 
 // texsim runs this test binary as texsim on args, returning its stdout
-// and stderr.
+// and stderr, and fails the test unless it exits 0.
 func texsim(t *testing.T, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	stdout, stderr, code := texsimExit(t, args...)
+	if code != 0 {
+		t.Fatalf("texsim %v: exit %d\n%s", args, code, stderr)
+	}
+	return stdout, stderr
+}
+
+// texsimExit runs this test binary as texsim on args, returning its
+// stdout, stderr and exit code.
+func texsimExit(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -23,9 +35,13 @@ func texsim(t *testing.T, args ...string) (stdout, stderr []byte) {
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("texsim %v: %v\n%s", args, err, errOut.Bytes())
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) {
+			t.Fatalf("texsim %v: %v", args, err)
+		}
+		return out.Bytes(), errOut.Bytes(), ee.ExitCode()
 	}
-	return out.Bytes(), errOut.Bytes()
+	return out.Bytes(), errOut.Bytes(), 0
 }
 
 // timingLines matches the wall-time lines of texsim's text output.

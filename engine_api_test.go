@@ -109,8 +109,8 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	}
 
 	results, err := texcache.Run(context.Background(), texcache.ExperimentRequest{
-		Experiments: ids, Scale: 8, Scenes: scenes,
-	}, texcache.WithWorkers(3))
+		Experiments: ids, Scale: 8, Scenes: scenes, Workers: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,9 @@ type ExperimentRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// RenderWorkers is the tile-parallel rasterization worker count per
 	// render (0 = GOMAXPROCS, 1 = serial); traces are bit-identical at
-	// any setting.
+	// any setting. It sizes the renders of the run's own trace cache
+	// only: a shared trace provider, such as texserve's, renders with
+	// its own count and ignores the field.
 	RenderWorkers int `json:"render_workers,omitempty"`
 }
 
@@ -479,7 +481,7 @@ func (r ExperimentRequest) LayoutSpec() texture.LayoutSpec {
 // the scene's reported scan direction. Call only after Validate.
 func (r ExperimentRequest) RasterTraversal() raster.Traversal {
 	if r.Traversal == nil {
-		return exp.DefaultTraversalFor(r.Scene)
+		return scenes.DefaultTraversal(r.Scene)
 	}
 	trav, _ := r.Traversal.Raster()
 	return trav
@@ -655,30 +657,7 @@ func validateSweep(r ExperimentRequest) error {
 	if len(r.Configs) == 0 {
 		return badRequest("configs", "sweep request needs at least one cache configuration")
 	}
-	if r.Layout != nil {
-		spec, err := r.Layout.Spec()
-		if err != nil {
-			return badRequest("layout", "%v", err)
-		}
-		if err := spec.Validate(); err != nil {
-			return badRequest("layout", "%v", err)
-		}
-	}
-	if r.Traversal != nil {
-		if _, err := r.Traversal.Raster(); err != nil {
-			return badRequest("traversal", "%v", err)
-		}
-	}
-	for i, wire := range r.Configs {
-		cfg, err := wire.Cache()
-		if err != nil {
-			return badRequest(fmt.Sprintf("configs[%d]", i), "%v", err)
-		}
-		if err := cfg.Validate(); err != nil {
-			return badRequest(fmt.Sprintf("configs[%d]", i), "%v", err)
-		}
-	}
-	return nil
+	return checkPoint(r)
 }
 
 // validateArchitecture checks an architecture request: the shared
@@ -695,28 +674,8 @@ func validateArchitecture(r ExperimentRequest) error {
 	if err := validScene(r.Scene); err != nil {
 		return err
 	}
-	if r.Layout != nil {
-		spec, err := r.Layout.Spec()
-		if err != nil {
-			return badRequest("layout", "%v", err)
-		}
-		if err := spec.Validate(); err != nil {
-			return badRequest("layout", "%v", err)
-		}
-	}
-	if r.Traversal != nil {
-		if _, err := r.Traversal.Raster(); err != nil {
-			return badRequest("traversal", "%v", err)
-		}
-	}
-	for i, wire := range r.Configs {
-		cfg, err := wire.Cache()
-		if err != nil {
-			return badRequest(fmt.Sprintf("configs[%d]", i), "%v", err)
-		}
-		if err := cfg.Validate(); err != nil {
-			return badRequest(fmt.Sprintf("configs[%d]", i), "%v", err)
-		}
+	if err := checkPoint(r); err != nil {
+		return err
 	}
 	a := *r.Architecture
 	if _, err := a.pipelines(); err != nil {
@@ -735,6 +694,71 @@ func validateArchitecture(r ExperimentRequest) error {
 		}
 	}
 	return nil
+}
+
+// checkPoint checks the single-point layout, traversal and configs
+// fields that sweep and architecture requests share.
+func checkPoint(r ExperimentRequest) error {
+	if r.Layout != nil {
+		if err := checkLayout(*r.Layout, "layout", -1); err != nil {
+			return err
+		}
+	}
+	if r.Traversal != nil {
+		if err := checkTraversal(*r.Traversal, "traversal", -1); err != nil {
+			return err
+		}
+	}
+	return checkConfigs(r.Configs, "configs")
+}
+
+// The checkers below validate one wire field kind each and report a
+// failure as a bad request on field, or on field[i] for element i of a
+// list (i < 0 names a single value). The name is formatted on the error
+// path only, since every request served is validated.
+
+// checkLayout checks that a wire layout names a known kind and builds
+// a valid spec.
+func checkLayout(l Layout, field string, i int) error {
+	spec, err := l.Spec()
+	if err == nil {
+		err = spec.Validate()
+	}
+	if err != nil {
+		return badRequest(fieldAt(field, i), "%v", err)
+	}
+	return nil
+}
+
+// checkTraversal checks that a wire traversal names a known order.
+func checkTraversal(t Traversal, field string, i int) error {
+	if _, err := t.Raster(); err != nil {
+		return badRequest(fieldAt(field, i), "%v", err)
+	}
+	return nil
+}
+
+// checkConfigs checks every wire cache configuration of a list: a known
+// policy and a valid geometry.
+func checkConfigs(cfgs []CacheConfig, field string) error {
+	for i, wire := range cfgs {
+		cfg, err := wire.Cache()
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
+			return badRequest(fieldAt(field, i), "%v", err)
+		}
+	}
+	return nil
+}
+
+// fieldAt names field, or element i of it when i >= 0.
+func fieldAt(field string, i int) string {
+	if i < 0 {
+		return field
+	}
+	return fmt.Sprintf("%s[%d]", field, i)
 }
 
 // validScene checks a scene name against the benchmark set.

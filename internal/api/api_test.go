@@ -198,7 +198,7 @@ func TestResolvedDefaults(t *testing.T) {
 	if spec := r.LayoutSpec(); spec.Kind != texture.BlockedKind || spec.BlockW != 8 {
 		t.Errorf("default LayoutSpec = %+v, want blocked 8", spec)
 	}
-	if trav := r.RasterTraversal(); trav.Order != exp.DefaultTraversalFor("goblet").Order {
+	if trav := r.RasterTraversal(); trav.Order != scenes.DefaultTraversal("goblet").Order {
 		t.Errorf("default traversal = %+v", trav)
 	}
 	town := r

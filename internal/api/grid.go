@@ -12,7 +12,6 @@ package api
 
 import (
 	"errors"
-	"fmt"
 
 	"texcache/internal/scenes"
 )
@@ -94,41 +93,31 @@ func validateGrid(r ExperimentRequest) error {
 		if err := validScene(name); err != nil {
 			var ae *Error
 			if errors.As(err, &ae) {
-				ae.Field = fmt.Sprintf("grid.scenes[%d]", i)
+				ae.Field = fieldAt("grid.scenes", i)
 			}
 			return err
 		}
 	}
 	for i, s := range g.Scales {
 		if s < 1 {
-			return badRequest(fmt.Sprintf("grid.scales[%d]", i), "scale %d: must be >= 1 (1 = the paper's full size)", s)
+			return badRequest(fieldAt("grid.scales", i), "scale %d: must be >= 1 (1 = the paper's full size)", s)
 		}
 	}
 	for i, l := range g.Layouts {
-		spec, err := l.Spec()
-		if err != nil {
-			return badRequest(fmt.Sprintf("grid.layouts[%d]", i), "%v", err)
-		}
-		if err := spec.Validate(); err != nil {
-			return badRequest(fmt.Sprintf("grid.layouts[%d]", i), "%v", err)
+		if err := checkLayout(l, "grid.layouts", i); err != nil {
+			return err
 		}
 	}
 	for i, tv := range g.Traversals {
-		if _, err := tv.Raster(); err != nil {
-			return badRequest(fmt.Sprintf("grid.traversals[%d]", i), "%v", err)
+		if err := checkTraversal(tv, "grid.traversals", i); err != nil {
+			return err
 		}
 	}
 	if len(g.Configs) == 0 {
 		return badRequest("grid.configs", "grid request needs at least one cache configuration")
 	}
-	for i, wire := range g.Configs {
-		cfg, err := wire.Cache()
-		if err != nil {
-			return badRequest(fmt.Sprintf("grid.configs[%d]", i), "%v", err)
-		}
-		if err := cfg.Validate(); err != nil {
-			return badRequest(fmt.Sprintf("grid.configs[%d]", i), "%v", err)
-		}
+	if err := checkConfigs(g.Configs, "grid.configs"); err != nil {
+		return err
 	}
 	if n := g.unitCount(); n > MaxGridUnits {
 		return badRequest("grid", "grid enumerates %d units (max %d); split it across requests", n, MaxGridUnits)

@@ -18,7 +18,6 @@ import (
 	"texcache/internal/exp"
 	"texcache/internal/obs"
 	"texcache/internal/report"
-	"texcache/internal/trace"
 )
 
 // Result is one finished job: an experiment of a batch, a sweep, an
@@ -64,12 +63,6 @@ type Options struct {
 	// every experiment's output) are bit-identical at any setting.
 	// Ignored when the caller supplies its own Config.Traces provider.
 	RenderWorkers int
-	// TraceDir, when non-empty, attaches a persistent on-disk trace
-	// store to the engine-installed trace cache: renders are written
-	// back and later batches load them instead of rendering. Results are
-	// bit-identical with or without it. Ignored when the caller supplies
-	// its own Config.Traces provider.
-	TraceDir string
 	// Progress, when non-nil, is called once per finished job of every
 	// request kind. Calls are serialized and Completed is monotonic, but
 	// they arrive in completion order, not request order. The callback
@@ -79,20 +72,18 @@ type Options struct {
 	// Traces, when non-nil, is the trace provider installed on every
 	// batch whose Config does not bring its own — the hook through which
 	// a long-running server shares one TraceCache (and its coalesced
-	// renders) across many engines. RenderWorkers and TraceDir are
+	// renders) across many engines, and through which a caller attaches
+	// a persistent trace store (TraceCache.Store). RenderWorkers is
 	// ignored when it is set.
 	Traces exp.TraceProvider
 	// ResultCache, when non-nil, is the finished-stream memoization tier
 	// RunRequestNDJSON consults before running anything — the hook
 	// through which a long-running server serves repeated requests as
-	// stored bytes. Shared caches coalesce identical concurrent requests
-	// onto one simulation. ResultDir is ignored when it is set.
+	// stored bytes, and through which a caller attaches a persistent
+	// result store (ResultCache.AttachDir). Shared caches coalesce
+	// identical concurrent requests onto one simulation. Nil means no
+	// result caching.
 	ResultCache *ResultCache
-	// ResultDir, when non-empty and ResultCache is nil, attaches a fresh
-	// result cache with a persistent tier rooted at this directory, so
-	// repeated NDJSON runs across process restarts are served from
-	// <sha256(key)>.result files instead of re-simulated.
-	ResultDir string
 }
 
 // Option mutates Options.
@@ -108,10 +99,6 @@ func WithRenderWorkers(n int) Option { return func(o *Options) { o.RenderWorkers
 // WithProgress installs a per-job completion callback.
 func WithProgress(fn func(Progress)) Option { return func(o *Options) { o.Progress = fn } }
 
-// WithTraceDir attaches a persistent trace store rooted at dir to the
-// engine's trace cache; empty disables the store.
-func WithTraceDir(dir string) Option { return func(o *Options) { o.TraceDir = dir } }
-
 // WithResultCache installs a shared result cache on the engine: every
 // RunRequestNDJSON call checks it before simulating, so
 // repeated requests are served as stored bytes and identical concurrent
@@ -119,11 +106,6 @@ func WithTraceDir(dir string) Option { return func(o *Options) { o.TraceDir = di
 func WithResultCache(rc *ResultCache) Option {
 	return func(o *Options) { o.ResultCache = rc }
 }
-
-// WithResultDir attaches a persistent result store rooted at dir to a
-// fresh engine-owned result cache; empty disables result caching.
-// Ignored when WithResultCache installs a shared cache.
-func WithResultDir(dir string) Option { return func(o *Options) { o.ResultDir = dir } }
 
 // WithTraces installs a shared trace provider on the engine: every batch
 // run without its own Config.Traces uses it instead of a fresh
@@ -168,11 +150,7 @@ func (e *Engine) Run(ctx context.Context, ids []string, cfg exp.Config) (<-chan 
 		return nil, err
 	}
 	if cfg.Traces == nil {
-		p, err := e.traces()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Traces = p
+		cfg.Traces = e.traces()
 	}
 	jobs := make([]job, len(exps))
 	for i, ex := range exps {
@@ -271,39 +249,14 @@ func (e *Engine) runJobs(ctx context.Context, jobs []job, warm func(sem chan str
 
 // traces resolves the trace provider a batch uses when its Config does
 // not bring one: the engine's shared provider when installed, otherwise
-// a fresh single-flight TraceCache (with the persistent tier attached
-// when TraceDir is set).
-func (e *Engine) traces() (exp.TraceProvider, error) {
+// a fresh memory-only single-flight TraceCache.
+func (e *Engine) traces() exp.TraceProvider {
 	if e.opts.Traces != nil {
-		return e.opts.Traces, nil
+		return e.opts.Traces
 	}
 	tc := NewTraceCache()
 	tc.RenderWorkers = e.opts.RenderWorkers
-	if e.opts.TraceDir != "" {
-		store, err := trace.Open(e.opts.TraceDir)
-		if err != nil {
-			return nil, err
-		}
-		tc.Store = store
-	}
-	return tc, nil
-}
-
-// results resolves the result cache RunRequestNDJSON uses: the shared
-// cache when installed, else a fresh one with the persistent tier when
-// ResultDir is set, else nil (no result caching).
-func (e *Engine) results() (*ResultCache, error) {
-	if e.opts.ResultCache != nil {
-		return e.opts.ResultCache, nil
-	}
-	if e.opts.ResultDir == "" {
-		return nil, nil
-	}
-	rc := NewResultCache()
-	if err := rc.AttachDir(e.opts.ResultDir); err != nil {
-		return nil, err
-	}
-	return rc, nil
+	return tc
 }
 
 // resolve maps IDs to experiments, defaulting to the whole registry.

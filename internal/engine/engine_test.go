@@ -242,11 +242,18 @@ func TestRunWithTraceDirMatchesSerial(t *testing.T) {
 	}
 	want := sb.String()
 
-	// Run 0 populates the store cold; run 1 is a fresh engine warm from
-	// disk. Both must match the serial reference byte for byte.
+	// Run 0 populates the store cold; run 1 is a fresh engine and a
+	// fresh cache, warm from disk. Both must match the serial reference
+	// byte for byte.
 	dir := t.TempDir()
 	for run := 0; run < 2; run++ {
-		ch, err := New(WithTraceDir(dir)).Run(context.Background(), []string{id}, testCfg)
+		store, err := trace.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := NewTraceCache()
+		tc.Store = store
+		ch, err := New(WithTraces(tc)).Run(context.Background(), []string{id}, testCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,15 +265,9 @@ func TestRunWithTraceDirMatchesSerial(t *testing.T) {
 				t.Errorf("run %d: trace-store output differs from serial run", run)
 			}
 		}
-	}
-
-	// An unusable directory fails fast.
-	f := filepath.Join(t.TempDir(), "plainfile")
-	if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(WithTraceDir(filepath.Join(f, "sub"))).Run(context.Background(), []string{id}, testCfg); err == nil {
-		t.Error("Run with an unusable -trace-dir succeeded")
+		if run == 1 && (tc.Renders() != 0 || tc.StoreHits() == 0) {
+			t.Errorf("warm run: %d renders, %d store hits; want every trace from disk", tc.Renders(), tc.StoreHits())
+		}
 	}
 }
 

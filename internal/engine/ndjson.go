@@ -71,10 +71,6 @@ func (e *Engine) RunRequestNDJSON(ctx context.Context, req api.ExperimentRequest
 	if err := api.Validate(req); err != nil {
 		return err
 	}
-	rc, err := e.results()
-	if err != nil {
-		return err
-	}
 	produce := func(w io.Writer, onResult func(Result)) error {
 		results, err := e.RunRequest(ctx, req)
 		if err != nil {
@@ -82,8 +78,8 @@ func (e *Engine) RunRequestNDJSON(ctx context.Context, req api.ExperimentRequest
 		}
 		return StreamNDJSON(w, results, onResult)
 	}
-	if rc == nil {
+	if e.opts.ResultCache == nil {
 		return produce(w, onResult)
 	}
-	return rc.Serve(ctx, req, w, onResult, produce)
+	return e.opts.ResultCache.Serve(ctx, req, w, onResult, produce)
 }

@@ -38,12 +38,12 @@ func (e *Engine) RunRequest(ctx context.Context, req api.ExperimentRequest) (<-c
 	if req.Kind() == api.KindExperiments {
 		return e.Run(ctx, req.Experiments, req.ExpConfig())
 	}
-	prov, err := e.traces()
-	if err != nil {
-		return nil, err
-	}
+	prov := e.traces()
 	cfg := req.ExpConfig()
-	var jobs []job
+	var (
+		jobs []job
+		err  error
+	)
 	switch req.Kind() {
 	case api.KindGrid:
 		if jobs, err = gridJobs(req, prov); err != nil {

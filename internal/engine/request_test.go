@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -313,17 +311,25 @@ func TestRunRequestNDJSONWarmIdentical(t *testing.T) {
 		t.Errorf("Produced %d Hits %d, want 1/1", rc.Produced(), rc.Hits())
 	}
 
-	// A fresh engine sharing a ResultDir serves the stored stream.
+	// A fresh engine and cache on the same result directory serve the
+	// stored stream.
 	dir := t.TempDir()
 	var first, second bytes.Buffer
-	if err := New(WithResultDir(dir)).RunRequestNDJSON(context.Background(), req, &first, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := New(WithResultDir(dir)).RunRequestNDJSON(context.Background(), req, &second, nil); err != nil {
-		t.Fatal(err)
+	var last *ResultCache
+	for _, w := range []*bytes.Buffer{&first, &second} {
+		last = NewResultCache()
+		if err := last.AttachDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := New(WithResultCache(last)).RunRequestNDJSON(context.Background(), req, w, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) || !bytes.Equal(first.Bytes(), cold.Bytes()) {
 		t.Error("result-dir stream not byte-identical across engines")
+	}
+	if last.StoreHits() != 1 || last.Produced() != 0 {
+		t.Errorf("second engine: StoreHits %d Produced %d, want 1/0", last.StoreHits(), last.Produced())
 	}
 }
 
@@ -366,15 +372,6 @@ func TestRunRequestNDJSONNoCache(t *testing.T) {
 	if err := New().RunRequestNDJSON(context.Background(), api.ExperimentRequest{Scene: "goblet", Scale: -1}, &out, nil); err == nil || out.Len() != 0 {
 		t.Errorf("invalid request: err %v, %d bytes written", err, out.Len())
 	}
-
-	// An unusable result dir fails fast.
-	f := filepath.Join(t.TempDir(), "plainfile")
-	if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := New(WithResultDir(filepath.Join(f, "sub"))).RunRequestNDJSON(context.Background(), sweepReq("goblet"), &buf, nil); err == nil {
-		t.Error("unusable result dir accepted")
-	}
 }
 
 func TestOptionSetters(t *testing.T) {
@@ -386,14 +383,9 @@ func TestOptionSetters(t *testing.T) {
 		WithProgress(func(Progress) { called = true }),
 		WithTraces(tc),
 		WithResultCache(rc),
-		WithResultDir("ignored"),
 	)
 	if e.opts.RenderWorkers != 2 || e.opts.Traces == nil || e.opts.ResultCache != rc {
 		t.Errorf("options not applied: %+v", e.opts)
-	}
-	got, err := e.results()
-	if err != nil || got != rc {
-		t.Errorf("results() = %v, %v; want the shared cache", got, err)
 	}
 	ch, err := e.Run(context.Background(), []string{"table2.1"}, exp.Config{Scale: 8, Scenes: []string{"goblet"}})
 	if err != nil {

@@ -23,7 +23,7 @@ func init() {
 			var keys []TraceKey
 			for _, name := range cfg.sceneList("goblet", "town") {
 				keys = append(keys, TraceKey{Scene: name, Layout: blocked8(),
-					Traversal: DefaultTraversalFor(name)})
+					Traversal: scenes.DefaultTraversal(name)})
 			}
 			return keys
 		},
@@ -37,7 +37,7 @@ func init() {
 			var keys []TraceKey
 			for _, name := range cfg.sceneList(scenes.Names()...) {
 				keys = append(keys, TraceKey{Scene: name, Layout: blocked8(),
-					Traversal: DefaultTraversalFor(name)})
+					Traversal: scenes.DefaultTraversal(name)})
 			}
 			return keys
 		},
@@ -51,7 +51,7 @@ func init() {
 func runReplacement(ctx context.Context, cfg Config, rep report.Reporter) error {
 	policies := []cache.Replacement{cache.LRU, cache.FIFO, cache.Random}
 	for _, name := range cfg.sceneList("goblet", "town") {
-		tr, err := traceScene(ctx, cfg, name, blocked8(), DefaultTraversalFor(name))
+		tr, err := traceScene(ctx, cfg, name, blocked8(), scenes.DefaultTraversal(name))
 		if err != nil {
 			return err
 		}
@@ -94,7 +94,7 @@ func runSectored(ctx context.Context, cfg Config, rep report.Reporter) error {
 		{Name: "MB moved", Head: " %12s", Cell: " %12.2f"},
 	})
 	for _, name := range cfg.sceneList(scenes.Names()...) {
-		tr, err := traceScene(ctx, cfg, name, blocked8(), DefaultTraversalFor(name))
+		tr, err := traceScene(ctx, cfg, name, blocked8(), scenes.DefaultTraversal(name))
 		if err != nil {
 			return err
 		}

@@ -3,9 +3,12 @@ package exp
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"texcache/internal/arch"
 	"texcache/internal/cache"
+	"texcache/internal/cas"
+	"texcache/internal/obs"
 	"texcache/internal/raster"
 	"texcache/internal/report"
 	"texcache/internal/scenes"
@@ -48,15 +51,55 @@ func archNeeds(cfg Config) []TraceKey {
 	return keys
 }
 
+// Budgets for the timeline memo. A timeline holds one uint64 per miss,
+// a few MB for a scene at scale 1, so a process keeps every scene at
+// several scales. Eviction is never a correctness event: the next call
+// replays the trace again, identically.
+const (
+	timelineMaxEntries = 16
+	timelineMaxBytes   = 64 << 20
+)
+
+// timelineKey is an architecture timeline's identity: the trace's
+// layout, traversal and cache are fixed, so the scene and the scale
+// name it.
+type timelineKey struct {
+	scene string
+	scale int
+}
+
+// The memo behind archTimeline is created on first use, so that nothing
+// runs at package init.
+var (
+	timelineOnce sync.Once
+	timelineMemo *cas.Memo[timelineKey, *arch.Timeline]
+)
+
 // archTimeline records where the scene's architecture trace misses in
 // the paper's 32KB 2-way cache with 128-byte lines: the one cache replay
-// each architecture experiment reruns its timing models over.
+// each architecture experiment reruns its timing models over. Timelines
+// are memoized per (scene, scale) in a bounded single-flight memo, so
+// igehy, latency and prefetch share one replay; a failed build is not
+// kept. Timelines are read-only once built.
 func archTimeline(ctx context.Context, cfg Config, name string) (*arch.Timeline, error) {
-	tr, err := traceScene(ctx, cfg, name, archLayout(), archTraversal())
-	if err != nil {
-		return nil, err
-	}
-	return arch.NewTimeline(cache.Config{SizeBytes: 32 << 10, LineBytes: 128, Ways: 2}, tr)
+	timelineOnce.Do(func() {
+		timelineMemo = cas.NewMemo[timelineKey, *arch.Timeline](timelineMaxEntries, timelineMaxBytes, func() {
+			obs.Default().Sub("arch").Sub("timeline_memo").Counter("evictions").Inc()
+		})
+	})
+	tl, _, err := timelineMemo.Do(ctx, timelineKey{scene: name, scale: cfg.scale()},
+		func() (*arch.Timeline, int64, error) {
+			tr, err := traceScene(ctx, cfg, name, archLayout(), archTraversal())
+			if err != nil {
+				return nil, 0, err
+			}
+			tl, err := arch.NewTimeline(cache.Config{SizeBytes: 32 << 10, LineBytes: 128, Ways: 2}, tr)
+			if err != nil {
+				return nil, 0, err
+			}
+			return tl, 8 * int64(tl.MissCount()), nil
+		})
+	return tl, err
 }
 
 // igehyLatencies is the swept fill latency in cycles; 0 is the ideal

@@ -206,14 +206,3 @@ func blocked8() texture.LayoutSpec {
 
 // lineForBlock returns the line size matching a square block in bytes.
 func lineForBlock(blockW int) int { return blockW * blockW * texture.TexelBytes }
-
-// DefaultTraversalFor returns the untiled traversal in the named scene's
-// reported rasterization direction — the static metadata Needs
-// declarations and the api package's sweep defaults use without building
-// the scene.
-func DefaultTraversalFor(name string) raster.Traversal {
-	if name == "town" {
-		return raster.Traversal{Order: raster.ColumnMajor}
-	}
-	return raster.Traversal{Order: raster.RowMajor}
-}

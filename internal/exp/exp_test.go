@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"texcache/internal/cache"
+	"texcache/internal/obs"
 	"texcache/internal/report"
 	"texcache/internal/scenes"
 )
@@ -263,18 +264,37 @@ func TestUnknownSceneErrors(t *testing.T) {
 	}
 }
 
-// TestDefaultTraversalForMatchesScenes pins the identity that lets the
-// experiments which only need a scene's traversal skip building it: the
-// static default equals the traversal each built scene reports.
-func TestDefaultTraversalForMatchesScenes(t *testing.T) {
-	for _, name := range scenes.Names() {
-		s, err := scenes.ByNameChecked(name, 16)
-		if err != nil {
-			t.Fatal(err)
+// TestArchTimelineShared pins that igehy, latency and prefetch share one
+// architecture timeline per scene: run together they build at most one
+// per scene, and run again they build none. They run at once, so under
+// -race this also checks the shared memo.
+func TestArchTimelineShared(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Attach(reg)
+	defer obs.Detach()
+	built := reg.Sub("arch").Counter("timelines")
+	runAll := func() {
+		var wg sync.WaitGroup
+		for _, id := range []string{"igehy", "latency", "prefetch"} {
+			e, _ := Lookup(id)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := e.Run(context.Background(), Config{Scale: 32}, report.NewText(io.Discard)); err != nil {
+					t.Errorf("%s: %v", id, err)
+				}
+			}()
 		}
-		if got, want := DefaultTraversalFor(name), s.DefaultTraversal(); got != want {
-			t.Errorf("%s: DefaultTraversalFor = %+v, scene reports %+v", name, got, want)
-		}
+		wg.Wait()
+	}
+	runAll()
+	first := built.Value()
+	if n := uint64(len(scenes.Names())); first > n {
+		t.Errorf("built %d timelines over %d scenes, want at most one per scene", first, n)
+	}
+	runAll()
+	if again := built.Value() - first; again != 0 {
+		t.Errorf("a repeat built %d timelines, want none", again)
 	}
 }
 

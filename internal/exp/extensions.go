@@ -31,7 +31,7 @@ func init() {
 			if len(cfg.Scenes) > 0 {
 				name = cfg.Scenes[0]
 			}
-			base := DefaultTraversalFor(name)
+			base := scenes.DefaultTraversal(name)
 			tiled := base
 			tiled.TileW, tiled.TileH = 8, 8
 			return []TraceKey{
@@ -70,7 +70,7 @@ func runHilbert(ctx context.Context, cfg Config, rep report.Reporter) error {
 	if len(cfg.Scenes) > 0 {
 		name = cfg.Scenes[0]
 	}
-	order := DefaultTraversalFor(name).Order
+	order := scenes.DefaultTraversal(name).Order
 	rep.Note("--- %s, blocked 8x8, 128B lines, fully associative ---", name)
 	beginCurve(rep, "traversals", "traversal")
 	for _, tc := range []struct {
@@ -112,7 +112,7 @@ func runCompress(ctx context.Context, cfg Config, rep report.Reporter) error {
 			{Kind: texture.BlockedKind, BlockW: 8},
 			{Kind: texture.CompressedKind, BlockW: 8, Ratio: 4},
 		} {
-			tr, err := traceScene(ctx, cfg, name, spec, DefaultTraversalFor(name))
+			tr, err := traceScene(ctx, cfg, name, spec, scenes.DefaultTraversal(name))
 			if err != nil {
 				return err
 			}

@@ -109,7 +109,7 @@ func runFig55(ctx context.Context, cfg Config, rep report.Reporter) error {
 		vals := []any{name}
 		for _, bw := range blocks {
 			tr, err := traceScene(ctx, cfg, name,
-				texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: bw}, DefaultTraversalFor(name))
+				texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: bw}, scenes.DefaultTraversal(name))
 			if err != nil {
 				return err
 			}
@@ -136,7 +136,7 @@ func runFig56(ctx context.Context, cfg Config, rep report.Reporter) error {
 	beginCurve(rep, "blocked-sizes", name+" line/block")
 	for _, bw := range []int{2, 4, 8, 16} {
 		tr, err := traceScene(ctx, cfg, name,
-			texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: bw}, DefaultTraversalFor(name))
+			texture.LayoutSpec{Kind: texture.BlockedKind, BlockW: bw}, scenes.DefaultTraversal(name))
 		if err != nil {
 			return err
 		}

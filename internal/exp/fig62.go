@@ -7,6 +7,7 @@ import (
 	"texcache/internal/cache"
 	"texcache/internal/raster"
 	"texcache/internal/report"
+	"texcache/internal/scenes"
 )
 
 func init() {
@@ -31,7 +32,7 @@ func runFig62(ctx context.Context, cfg Config, rep report.Reporter) error {
 	if len(cfg.Scenes) > 0 {
 		name = cfg.Scenes[0]
 	}
-	order := DefaultTraversalFor(name).Order
+	order := scenes.DefaultTraversal(name).Order
 	rep.Note("--- %s, blocked 8x8, 128B lines, fully associative ---", name)
 	beginCurve(rep, "tile-sweep", "tile")
 	for _, tile := range fig62Tiles {

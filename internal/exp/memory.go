@@ -27,7 +27,7 @@ func init() {
 			for _, name := range cfg.sceneList(scenes.Names()...) {
 				for _, line := range dramLines {
 					keys = append(keys, TraceKey{Scene: name, Layout: dramLayout(line),
-						Traversal: DefaultTraversalFor(name)})
+						Traversal: scenes.DefaultTraversal(name)})
 				}
 			}
 			return keys
@@ -77,7 +77,7 @@ func runDRAM(ctx context.Context, cfg Config, rep report.Reporter) error {
 	})
 	for _, name := range cfg.sceneList(scenes.Names()...) {
 		for _, line := range dramLines {
-			tr, err := traceScene(ctx, cfg, name, dramLayout(line), DefaultTraversalFor(name))
+			tr, err := traceScene(ctx, cfg, name, dramLayout(line), scenes.DefaultTraversal(name))
 			if err != nil {
 				return err
 			}

@@ -21,7 +21,7 @@ func init() {
 		Needs: func(cfg Config) []TraceKey {
 			var keys []TraceKey
 			for _, name := range cfg.sceneList(scenes.Names()...) {
-				trav := DefaultTraversalFor(name)
+				trav := scenes.DefaultTraversal(name)
 				trav.TileW, trav.TileH = 8, 8
 				for _, bw := range []int{4, 8} {
 					keys = append(keys, TraceKey{Scene: name,
@@ -82,7 +82,7 @@ func runTable71(ctx context.Context, cfg Config, rep report.Reporter) error {
 	rep.BeginTable("bandwidth", rcols)
 
 	for _, name := range cfg.sceneList(scenes.Names()...) {
-		trav := DefaultTraversalFor(name)
+		trav := scenes.DefaultTraversal(name)
 		trav.TileW, trav.TileH = 8, 8
 		// One trace per block size; each trace replays its columns in a
 		// single concurrent pass.

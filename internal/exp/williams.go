@@ -5,6 +5,7 @@ import (
 
 	"texcache/internal/cache"
 	"texcache/internal/report"
+	"texcache/internal/scenes"
 	"texcache/internal/texture"
 )
 
@@ -35,7 +36,7 @@ func runWilliams(ctx context.Context, cfg Config, rep report.Reporter) error {
 			{Kind: texture.NonBlockedKind},
 			{Kind: texture.WilliamsKind},
 		} {
-			tr, err := traceScene(ctx, cfg, name, spec, DefaultTraversalFor(name))
+			tr, err := traceScene(ctx, cfg, name, spec, scenes.DefaultTraversal(name))
 			if err != nil {
 				return err
 			}

@@ -86,11 +86,6 @@ type Renderer struct {
 	// Counters consumer always render serially (those observe the
 	// stream as it is produced).
 	RenderWorkers int
-	// TraceHint is the expected number of texel addresses the frame
-	// will emit (scene-scale hint). The tile-parallel path divides it
-	// across tiles by pixel share to pre-size per-tile trace buffers;
-	// zero falls back to the trilinear eight-per-pixel estimate.
-	TraceHint int
 
 	Stats FrameStats
 

@@ -90,9 +90,9 @@ var tilePools sync.Map // tile pixel capacity (int) → *sync.Pool
 
 // getTileStream returns a recycled (or fresh) stream for the rect,
 // bound to the given triangle list. addrHint is the expected address
-// volume of the tile (from the frame's scene-scale trace hint): a fresh
-// or undersized stream pre-grows to it, so first frames reach steady-
-// state capacity without walking the doubling ladder per tile.
+// volume of the tile (eight addresses per pixel): a fresh or undersized
+// stream pre-grows to it, so first frames reach steady-state capacity
+// without walking the doubling ladder per tile.
 func getTileStream(rect raster.Rect, tris []int32, addrHint int) *tileStream {
 	capPx := (rect.X1 - rect.X0 + 1) * (rect.Y1 - rect.Y0 + 1)
 	p, _ := tilePools.LoadOrStore(capPx, &sync.Pool{})
@@ -235,14 +235,9 @@ func (r *Renderer) Finish() {
 			}
 		}
 	}
-	// Per-tile address pre-sizing: share of the frame's expected address
-	// volume proportional to the tile's pixel count.
-	perPx := 8 // trilinear footprint: eight texels per textured fragment
-	if r.TraceHint > 0 && r.Width > 0 && r.Height > 0 {
-		if p := r.TraceHint / (r.Width * r.Height); p > 0 {
-			perPx = p
-		}
-	}
+	// Per-tile address pre-sizing: the trilinear footprint, eight texels
+	// per textured fragment, over the tile's pixels.
+	const perPx = 8
 	// streamOf maps a tile index to its stream (-1 for empty tiles), for
 	// the merge's range walk.
 	streamOf := make([]int32, nTiles)

@@ -25,10 +25,9 @@ func Flight(scale int) *Scene {
 		texSize            = 1024
 	)
 	s := &Scene{
-		Name:         "flight",
-		Width:        div(1280, scale),
-		Height:       div(1024, scale),
-		DefaultOrder: 0, // horizontal
+		Name:   "flight",
+		Width:  div(1280, scale),
+		Height: div(1024, scale),
 		Light: &pipeline.DirectionalLight{
 			Dir:     vecmath.Vec3{X: -0.4, Y: -1, Z: -0.2},
 			Ambient: 0.45,

@@ -19,10 +19,9 @@ import (
 // the viewer.
 func Goblet(scale int) *Scene {
 	s := &Scene{
-		Name:         "goblet",
-		Width:        div(800, scale),
-		Height:       div(800, scale),
-		DefaultOrder: 0, // horizontal
+		Name:   "goblet",
+		Width:  div(800, scale),
+		Height: div(800, scale),
 		Light: &pipeline.DirectionalLight{
 			Dir:     vecmath.Vec3{X: -0.5, Y: -0.7, Z: -0.6},
 			Ambient: 0.5,

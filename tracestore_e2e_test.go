@@ -71,14 +71,28 @@ func TestCompactTraceDifferentialStats(t *testing.T) {
 // cold/warm benchmarks run: render-dominated experiments over one scene.
 var storeBenchIDs = []string{"fig5.2", "fig5.7"}
 
-// runWithTraceDir runs the gate's experiment batch against the given
+// withTraceStore attaches the trace store rooted at dir to one run: a
+// fresh TraceCache on the store, so a warm directory serves the run
+// from disk, never from an earlier run's memory.
+func withTraceStore(tb testing.TB, dir string) texcache.ExperimentOption {
+	tb.Helper()
+	store, err := texcache.OpenTraceStore(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tc := texcache.NewTraceCache()
+	tc.Store = store
+	return texcache.WithTraceProvider(tc)
+}
+
+// runStoreBatch runs the gate's experiment batch against the given
 // store directory and fails the test on any experiment error.
-func runWithTraceDir(tb testing.TB, dir string, scale int) {
+func runStoreBatch(tb testing.TB, dir string, scale int) {
 	tb.Helper()
 	req := texcache.ExperimentRequest{
 		Experiments: storeBenchIDs, Scale: scale, Scenes: []string{"goblet"},
 	}
-	results, err := texcache.Run(context.Background(), req, texcache.WithTraceDir(dir))
+	results, err := texcache.Run(context.Background(), req, withTraceStore(tb, dir))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -104,7 +118,7 @@ func TestTraceStoreWarmSpeedup(t *testing.T) {
 	}
 	const scale = 4
 	warmDir := t.TempDir()
-	runWithTraceDir(t, warmDir, scale) // populate, untimed
+	runStoreBatch(t, warmDir, scale) // populate, untimed
 
 	// Best-of-3 on each side rejects scheduler noise. Every cold run
 	// gets a fresh directory so it really renders.
@@ -119,8 +133,8 @@ func TestTraceStoreWarmSpeedup(t *testing.T) {
 		}
 		return bestD
 	}
-	cold := best(func() { runWithTraceDir(t, t.TempDir(), scale) })
-	warm := best(func() { runWithTraceDir(t, warmDir, scale) })
+	cold := best(func() { runStoreBatch(t, t.TempDir(), scale) })
+	warm := best(func() { runStoreBatch(t, warmDir, scale) })
 
 	speedup := float64(cold) / float64(warm)
 	t.Logf("cold %v, warm %v: %.2fx", cold, warm, speedup)
@@ -154,10 +168,10 @@ func TestTraceDirOutputIdentical(t *testing.T) {
 	}
 	want := run()
 	dir := t.TempDir()
-	if cold := run(texcache.WithTraceDir(dir)); cold != want {
+	if cold := run(withTraceStore(t, dir)); cold != want {
 		t.Error("cold trace-store run differs from storeless run")
 	}
-	if warm := run(texcache.WithTraceDir(dir)); warm != want {
+	if warm := run(withTraceStore(t, dir)); warm != want {
 		t.Error("warm trace-store run differs from storeless run")
 	}
 }
